@@ -65,6 +65,7 @@ struct CacheStats {
 /// never-reconfigured leader sets) the embedded ATD.
 ///
 /// Invariant: valid lines live only in physical ways [0, active_ways(set)).
+/// Associativity is limited to 64 ways: per-set state is a 64-bit mask.
 class SetAssocCache {
  public:
   SetAssocCache(const CacheParams& params, std::string name = "cache");
@@ -96,7 +97,7 @@ class SetAssocCache {
   void resize_set(std::uint32_t set, std::uint32_t new_active, cycle_t now,
                   const std::function<void(block_t, bool)>& on_evict);
 
-  std::uint32_t active_ways(std::uint32_t set) const noexcept { return active_[set]; }
+  std::uint32_t active_ways(std::uint32_t set) const noexcept { return state_[set].active; }
 
   /// Permanently retires a slot (fault-induced capacity degradation): any
   /// resident line is invalidated (listener notified) and the slot is never
@@ -104,7 +105,7 @@ class SetAssocCache {
   bool disable_slot(std::uint32_t set, std::uint32_t way, cycle_t now);
 
   bool slot_disabled(std::uint32_t set, std::uint32_t way) const noexcept {
-    return disabled_[idx(set, way)] != 0;
+    return (state_[set].disabled & bit(way)) != 0;
   }
 
   /// Number of slots retired by disable_slot().
@@ -137,31 +138,45 @@ class SetAssocCache {
 
   /// True if the slot currently holds a valid line.
   bool slot_valid(std::uint32_t set, std::uint32_t way) const noexcept {
-    return valid_[idx(set, way)] != 0;
+    return (state_[set].valid & bit(way)) != 0;
   }
   bool slot_dirty(std::uint32_t set, std::uint32_t way) const noexcept {
-    return dirty_[idx(set, way)] != 0;
+    return (state_[set].dirty & bit(way)) != 0;
   }
   block_t slot_block(std::uint32_t set, std::uint32_t way) const noexcept {
-    return blocks_[idx(set, way)];
+    return slots_[idx(set, way)].block;
   }
 
  private:
+  /// One (set, way) slot: 16 bytes, so a 4-way set spans 64 bytes and a
+  /// lookup reads tags and stamps from the same lines.
+  struct Slot {
+    block_t block = kInvalidBlock;
+    std::uint64_t stamp = 0;  ///< recency: larger = more recent
+  };
+  /// Per-set line state, one bit per way (hence the 64-way limit).
+  struct SetState {
+    std::uint64_t valid = 0;
+    std::uint64_t dirty = 0;
+    std::uint64_t disabled = 0;
+    std::uint32_t active = 0;  ///< active way count
+  };
+
+  static constexpr std::uint64_t bit(std::uint32_t way) noexcept {
+    return std::uint64_t{1} << way;
+  }
   std::size_t idx(std::uint32_t set, std::uint32_t way) const noexcept {
     return static_cast<std::size_t>(set) * ways_ + way;
   }
+  /// Bit w set iff way w < active holds `blk` and is valid (at most one bit).
+  std::uint64_t match_mask(std::uint32_t set, block_t blk) const noexcept;
 
   std::uint32_t sets_;
   std::uint32_t ways_;
   std::string name_;
 
-  // Struct-of-arrays layout: one entry per (set, way) slot.
-  std::vector<block_t> blocks_;
-  std::vector<std::uint8_t> valid_;
-  std::vector<std::uint8_t> dirty_;
-  std::vector<std::uint8_t> disabled_;
-  std::vector<std::uint64_t> stamp_;   // recency: larger = more recent
-  std::vector<std::uint32_t> active_;  // active way count per set
+  std::vector<Slot> slots_;       // sets_ * ways_, set-major
+  std::vector<SetState> state_;  // one per set
 
   std::uint64_t stamp_counter_ = 0;
   std::uint64_t valid_count_ = 0;

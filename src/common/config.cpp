@@ -34,6 +34,8 @@ void SystemConfig::validate() const {
   for (const CacheGeometry& g : {l1.geom, l2.geom}) {
     require(g.line_bytes > 0 && is_pow2(g.line_bytes), "line size must be a power of two");
     require(g.ways >= 1, "associativity must be >= 1");
+    require(g.ways <= 64,
+            "associativity above 64 ways is not supported (per-set way masks are 64-bit)");
     require(g.size_bytes % (static_cast<std::uint64_t>(g.ways) * g.line_bytes) == 0,
             "cache size must be a multiple of ways*line");
     require(g.sets() >= 1, "cache must have at least one set");

@@ -47,13 +47,6 @@ void note_lookup(bool hit, std::uint64_t hash) {
 namespace {
 
 constexpr std::uint64_t kMemoMagic = 0x314F4D454D534525ULL;  // "%ESMEMO1"
-// Bump whenever the fingerprint layout, the serialized RunOutcome layout, or
-// simulator behaviour changes: stale memo files then read as misses.
-// v2: EnergyScaleConfig joined the fingerprint.
-// v3: CRC32 over the payload joined the header (self-healing memo files).
-// v4: [sampling] joined the fingerprint; SamplingEstimates joined the outcome.
-constexpr std::uint32_t kMemoFormatVersion = 4;
-
 // Memo file layout: magic u64 | version u32 | crc u32 | payload, with the
 // two u32s in the shared 8-byte encoding — a 24-byte header, then the
 // CRC-protected payload (fingerprint string + serialized outcome).

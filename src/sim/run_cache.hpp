@@ -35,6 +35,16 @@
 
 namespace esteem::sim {
 
+/// Memo file format version. Bump whenever the fingerprint layout, the
+/// serialized RunOutcome layout, or simulator behaviour changes: stale memo
+/// files then read as misses. The model canary (tests/test_run_cache.cpp)
+/// pins outcome digests per version, so a behaviour change without a bump
+/// fails tier 1.
+/// v2: EnergyScaleConfig joined the fingerprint.
+/// v3: CRC32 over the payload joined the header (self-healing memo files).
+/// v4: [sampling] joined the fingerprint; SamplingEstimates joined the outcome.
+inline constexpr std::uint32_t kMemoFormatVersion = 4;
+
 /// Canonical fingerprint of a RunSpec (stable across processes).
 std::string run_spec_fingerprint(const RunSpec& spec);
 

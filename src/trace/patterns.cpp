@@ -270,19 +270,23 @@ TemporalReusePattern::TemporalReusePattern(std::unique_ptr<BlockPattern> child,
 }
 
 block_t TemporalReusePattern::next_block() {
+  const auto size = static_cast<std::uint32_t>(ring_.size());
   if (filled_ > 0 && rng_.chance(reuse_prob_)) {
-    // Geometric recency bias: halve the candidate range per coin flip.
+    // Geometric recency bias: halve the candidate range per fair coin flip.
+    // The coin is the top bit of one draw, which is exactly chance(0.5):
+    // (x >> 11) * 2^-53 < 0.5 holds iff bit 63 of x is clear.
     std::uint32_t span = filled_;
-    while (span > 1 && rng_.chance(0.5)) span = (span + 1) / 2;
-    const std::uint32_t back = static_cast<std::uint32_t>(rng_.below(span));
-    const std::uint32_t idx = (head_ + ring_.size() - 1 - back) %
-                              static_cast<std::uint32_t>(ring_.size());
+    while (span > 1 && (rng_() >> 63) == 0) span = (span + 1) / 2;
+    const auto back = static_cast<std::uint32_t>(rng_.below(span));
+    // back < filled_ <= size, so one conditional subtract wraps the index.
+    std::uint32_t idx = head_ + size - 1 - back;
+    if (idx >= size) idx -= size;
     return ring_[idx];
   }
   const block_t b = child_->next_block();
   ring_[head_] = b;
-  head_ = (head_ + 1) % static_cast<std::uint32_t>(ring_.size());
-  filled_ = std::min<std::uint32_t>(filled_ + 1, static_cast<std::uint32_t>(ring_.size()));
+  if (++head_ == size) head_ = 0;
+  if (filled_ < size) ++filled_;
   return b;
 }
 
@@ -315,19 +319,38 @@ InstructionMixer::InstructionMixer(std::unique_ptr<BlockPattern> pattern, double
   if (store_ratio_ < 0.0 || store_ratio_ > 1.0) {
     throw std::invalid_argument("InstructionMixer: store_ratio must be in [0,1]");
   }
+  if (mem_ratio_ < 1.0) {
+    log_keep_ = std::log(1.0 - mem_ratio_);
+    // gap_threshold_[n] = smallest k with gap_formula(k) <= n. The gap of
+    // the largest draw is 0, so every threshold lies in [0, 2^53 - 1].
+    for (std::size_t n = 0; n < kGapTableSize; ++n) {
+      std::uint64_t lo = 0, hi = (std::uint64_t{1} << 53) - 1;
+      while (lo < hi) {
+        const std::uint64_t mid = lo + (hi - lo) / 2;
+        if (gap_formula(mid) <= n) {
+          hi = mid;
+        } else {
+          lo = mid + 1;
+        }
+      }
+      gap_threshold_[n] = lo;
+    }
+  }
+}
+
+std::uint32_t InstructionMixer::gap_formula(std::uint64_t k) const noexcept {
+  // Geometric gap with mean 1/mem_ratio - 1 (inversion method). Capped so a
+  // single op can never skip more than a few intervals' worth of work.
+  const double u = std::max(static_cast<double>(k) * 0x1.0p-53, 1e-12);
+  const double g = std::floor(std::log(u) / log_keep_);
+  return static_cast<std::uint32_t>(std::min(g, 1e6));
 }
 
 MemRef InstructionMixer::next() {
   MemRef ref;
   ref.block = pattern_->next_block();
   ref.is_store = rng_.chance(store_ratio_);
-  // Geometric gap with mean 1/mem_ratio - 1 (inversion method). Capped so a
-  // single op can never skip more than a few intervals' worth of work.
-  if (mem_ratio_ < 1.0) {
-    const double u = std::max(rng_.uniform(), 1e-12);
-    const double g = std::floor(std::log(u) / std::log(1.0 - mem_ratio_));
-    ref.gap = static_cast<std::uint32_t>(std::min(g, 1e6));
-  }
+  if (mem_ratio_ < 1.0) ref.gap = gap_of(rng_() >> 11);
   return ref;
 }
 

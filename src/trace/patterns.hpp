@@ -3,6 +3,8 @@
 // profiling observes (paper §3.1).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -178,8 +180,17 @@ class TemporalReusePattern final : public BlockPattern {
 
 /// Layers instruction gaps (geometric, mean = 1/mem_ratio - 1) and store
 /// flags (Bernoulli store_ratio) onto a block pattern.
+///
+/// The gap of a 53-bit draw k is floor(log(max(k 2^-53, 1e-12)) / log(1-p)),
+/// capped at 1e6 (inversion method). It is non-increasing in k (given a
+/// monotone libm log; DESIGN.md §7 and the exactness test in test_trace.cpp),
+/// so gaps 0..kGapTableSize-1 are decided exactly by comparing k against
+/// thresholds found once, by binary search over that same formula; only the
+/// rare larger gaps evaluate the logarithm per reference.
 class InstructionMixer final : public AccessGenerator {
  public:
+  static constexpr std::size_t kGapTableSize = 16;
+
   InstructionMixer(std::unique_ptr<BlockPattern> pattern, double mem_ratio,
                    double store_ratio, std::uint64_t seed);
   MemRef next() override;
@@ -188,10 +199,27 @@ class InstructionMixer final : public AccessGenerator {
   /// RNG is untouched.
   void skip(std::uint64_t n_instr) override;
 
+  /// Gap for the 53-bit uniform draw `k` (the top bits of one RNG output), by
+  /// table lookup with the formula as fallback. Requires mem_ratio < 1.
+  std::uint32_t gap_of(std::uint64_t k) const noexcept {
+    std::uint32_t n = 0;
+    for (const std::uint64_t t : gap_threshold_) n += k < t ? 1u : 0u;
+    return n < kGapTableSize ? n : gap_formula(k);
+  }
+  /// gap_threshold()[n] is the smallest k whose gap is n or less.
+  const std::array<std::uint64_t, kGapTableSize>& gap_threshold() const noexcept {
+    return gap_threshold_;
+  }
+
  private:
+  /// The direct inversion formula the table reproduces.
+  std::uint32_t gap_formula(std::uint64_t k) const noexcept;
+
   std::unique_ptr<BlockPattern> pattern_;
   double mem_ratio_;
   double store_ratio_;
+  double log_keep_ = 0.0;  ///< log(1 - mem_ratio)
+  std::array<std::uint64_t, kGapTableSize> gap_threshold_{};
   double skip_carry_ = 0.0;
   Rng rng_;
 };

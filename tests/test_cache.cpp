@@ -1,11 +1,17 @@
 // Unit + property tests for the set-associative cache and module map.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <list>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hpp"
 #include "cache/module_map.hpp"
+#include "common/config.hpp"
 #include "common/rng.hpp"
 
 namespace esteem::cache {
@@ -298,6 +304,193 @@ TEST_P(StackInclusion, ShrunkCacheHitsMatchShallowPositions) {
 
 INSTANTIATE_TEST_SUITE_P(ActiveWays, StackInclusion,
                          ::testing::Values(1u, 2u, 3u, 5u, 7u, 8u));
+
+// Differential test against a deliberately naive reference: per set, a
+// std::list of the valid ways in recency order (front = MRU) and explicit
+// per-way valid/dirty/disabled flags. Both run the same randomized stream of
+// accesses interleaved with shrinks and grows, invalidations and slot
+// retirements, and must agree on every observable result.
+class NaiveLruCache {
+ public:
+  NaiveLruCache(std::uint32_t sets, std::uint32_t ways)
+      : sets_(sets), ways_(ways), slots_(static_cast<std::size_t>(sets) * ways),
+        recency_(sets), active_(sets, ways) {}
+
+  AccessOutcome access(block_t blk, bool is_store) {
+    AccessOutcome out;
+    const std::uint32_t set = static_cast<std::uint32_t>(blk % sets_);
+    auto& order = recency_[set];
+    for (std::uint32_t w = 0; w < active_[set]; ++w) {
+      Way& s = slot(set, w);
+      if (!s.valid || s.block != blk) continue;
+      out.hit = true;
+      out.way = w;
+      auto it = std::find(order.begin(), order.end(), w);
+      out.lru_pos = static_cast<std::uint32_t>(std::distance(order.begin(), it));
+      order.erase(it);
+      order.push_front(w);
+      s.dirty = s.dirty || is_store;
+      return out;
+    }
+    std::uint32_t victim = kNoWay;
+    for (std::uint32_t w = 0; w < active_[set] && victim == kNoWay; ++w) {
+      if (!slot(set, w).valid && !slot(set, w).disabled) victim = w;
+    }
+    if (victim == kNoWay) {
+      if (order.empty()) return out;  // every usable way disabled
+      victim = order.back();
+      out.victim = slot(set, victim).block;
+      out.victim_dirty = slot(set, victim).dirty;
+      order.pop_back();
+    }
+    slot(set, victim) = Way{blk, true, is_store, false};
+    order.push_front(victim);
+    out.way = victim;
+    return out;
+  }
+
+  bool invalidate(block_t blk) {
+    const std::uint32_t set = static_cast<std::uint32_t>(blk % sets_);
+    for (std::uint32_t w = 0; w < active_[set]; ++w) {
+      if (slot(set, w).valid && slot(set, w).block == blk) return invalidate_slot(set, w);
+    }
+    return false;
+  }
+
+  bool invalidate_slot(std::uint32_t set, std::uint32_t way) {
+    Way& s = slot(set, way);
+    if (!s.valid) return false;
+    const bool dirty = s.dirty;
+    s.valid = s.dirty = false;
+    recency_[set].remove(way);
+    return dirty;
+  }
+
+  bool disable_slot(std::uint32_t set, std::uint32_t way) {
+    if (slot(set, way).disabled) return false;
+    invalidate_slot(set, way);
+    slot(set, way).disabled = true;
+    return true;
+  }
+
+  std::vector<std::pair<block_t, bool>> resize_set(std::uint32_t set, std::uint32_t active) {
+    std::vector<std::pair<block_t, bool>> flushed;
+    for (std::uint32_t w = active; w < active_[set]; ++w) {
+      if (slot(set, w).valid) {
+        flushed.emplace_back(slot(set, w).block, slot(set, w).dirty);
+        invalidate_slot(set, w);
+      }
+    }
+    active_[set] = active;
+    return flushed;
+  }
+
+  void expect_same_state(const SetAssocCache& c) const {
+    std::uint64_t valid = 0;
+    for (std::uint32_t set = 0; set < sets_; ++set) {
+      ASSERT_EQ(c.active_ways(set), active_[set]) << "set " << set;
+      for (std::uint32_t w = 0; w < ways_; ++w) {
+        const Way& s = slots_[static_cast<std::size_t>(set) * ways_ + w];
+        ASSERT_EQ(c.slot_valid(set, w), s.valid) << set << "/" << w;
+        ASSERT_EQ(c.slot_disabled(set, w), s.disabled) << set << "/" << w;
+        if (!s.valid) continue;
+        ++valid;
+        ASSERT_EQ(c.slot_dirty(set, w), s.dirty) << set << "/" << w;
+        ASSERT_EQ(c.slot_block(set, w), s.block) << set << "/" << w;
+      }
+    }
+    ASSERT_EQ(c.valid_lines(), valid);
+  }
+
+ private:
+  struct Way {
+    block_t block = kInvalidBlock;
+    bool valid = false;
+    bool dirty = false;
+    bool disabled = false;
+  };
+  Way& slot(std::uint32_t set, std::uint32_t way) {
+    return slots_[static_cast<std::size_t>(set) * ways_ + way];
+  }
+
+  std::uint32_t sets_;
+  std::uint32_t ways_;
+  std::vector<Way> slots_;
+  std::vector<std::list<std::uint32_t>> recency_;
+  std::vector<std::uint32_t> active_;
+};
+
+class CacheDifferential : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(CacheDifferential, LockstepWithNaiveLru) {
+  const std::uint32_t ways = GetParam();
+  constexpr std::uint32_t kSets = 8;
+  SetAssocCache cache({kSets, ways});
+  NaiveLruCache ref(kSets, ways);
+  Rng rng(ways * 7919 + 3);
+  const std::uint64_t blocks = static_cast<std::uint64_t>(kSets) * ways * 2;
+
+  for (int i = 0; i < 40'000; ++i) {
+    const std::uint64_t op = rng.below(1000);
+    const auto set = static_cast<std::uint32_t>(rng.below(kSets));
+    const auto way = static_cast<std::uint32_t>(rng.below(ways));
+    if (op < 880) {
+      const block_t blk = rng.below(blocks);
+      const bool store = rng.chance(0.3);
+      const AccessOutcome got = cache.access(blk, store, i);
+      const AccessOutcome want = ref.access(blk, store);
+      ASSERT_EQ(got.hit, want.hit) << "iter " << i << " block " << blk;
+      ASSERT_EQ(got.way, want.way) << "iter " << i;
+      if (got.hit) {
+        ASSERT_EQ(got.lru_pos, want.lru_pos) << "iter " << i;
+      }
+      ASSERT_EQ(got.victim, want.victim) << "iter " << i;
+      ASSERT_EQ(got.victim_dirty, want.victim_dirty) << "iter " << i;
+    } else if (op < 920) {
+      const block_t blk = rng.below(blocks);
+      ASSERT_EQ(cache.invalidate(blk, i), ref.invalidate(blk)) << "iter " << i;
+    } else if (op < 950) {
+      ASSERT_EQ(cache.invalidate_slot(set, way, i), ref.invalidate_slot(set, way))
+          << "iter " << i;
+    } else if (op < 952) {
+      ASSERT_EQ(cache.disable_slot(set, way, i), ref.disable_slot(set, way))
+          << "iter " << i;
+    } else {
+      // Shrink or grow; grows dominate so the sets spend time near full size.
+      const std::uint32_t active =
+          rng.chance(0.5) ? ways : static_cast<std::uint32_t>(1 + rng.below(ways));
+      std::vector<std::pair<block_t, bool>> flushed;
+      cache.resize_set(set, active, i,
+                       [&](block_t b, bool dirty) { flushed.emplace_back(b, dirty); });
+      ASSERT_EQ(flushed, ref.resize_set(set, active)) << "iter " << i;
+    }
+    if (i % 4096 == 0) {
+      ref.expect_same_state(cache);
+      if (HasFatalFailure()) return;
+    }
+  }
+  ref.expect_same_state(cache);
+  EXPECT_GT(cache.stats().hits, 0u);
+  EXPECT_GT(cache.stats().evictions, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ways, CacheDifferential,
+                         ::testing::Values(1u, 4u, 16u, 63u, 64u));
+
+TEST(Cache, RejectsMoreThan64Ways) {
+  EXPECT_NO_THROW(SetAssocCache({8, 64}));
+  EXPECT_THROW(SetAssocCache({8, 65}), std::invalid_argument);
+  SystemConfig cfg = SystemConfig::single_core();
+  cfg.l2.geom = CacheGeometry{65ULL * 64 * 1024, 65, 64};
+  try {
+    cfg.validate();
+    ADD_FAILURE() << "a 65-way L2 passed validation";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("64 ways"), std::string::npos) << e.what();
+  }
+  cfg.l2.geom = CacheGeometry{64ULL * 64 * 1024, 64, 64};
+  EXPECT_NO_THROW(cfg.validate());
+}
 
 TEST(ModuleMap, PartitionsSets) {
   ModuleMap m(4096, 8);

@@ -5,7 +5,9 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "sim/experiment.hpp"
 #include "sim/run_cache.hpp"
@@ -258,6 +260,79 @@ TEST(RunCacheHealing, BadMagicIsQuarantinedAndRecomputed) {
     const char garbage[8] = {'n', 'o', 't', 'a', 'm', 'e', 'm', 'o'};
     io.write(garbage, sizeof garbage);
   });
+}
+
+// Model canary: outcome digests of a few small runs covering the three
+// sweep techniques, the dual-core lockstep scheduler and the sampling
+// executor, pinned per memo format version. Any change to what the model
+// computes moves a digest; it must come with a kMemoFormatVersion bump (so
+// stale memo files read as misses) and a new row here.
+struct CanaryCase {
+  const char* name;
+  RunSpec spec;
+};
+
+RunSpec canary_spec(const std::string& benchmark, Technique technique) {
+  RunSpec spec = tiny_spec(benchmark, technique);
+  spec.instr_per_core = 400'000;  // several reconfiguration intervals
+  return spec;
+}
+
+std::vector<CanaryCase> canary_cases() {
+  std::vector<CanaryCase> cases;
+  cases.push_back({"baseline", canary_spec("h264ref", Technique::BaselinePeriodicAll)});
+  cases.push_back({"esteem", canary_spec("h264ref", Technique::Esteem)});
+  cases.push_back({"rpv", canary_spec("h264ref", Technique::RefrintRPV)});
+
+  RunSpec dual = canary_spec("gobmk", Technique::Esteem);
+  dual.config.ncores = 2;
+  dual.workload = {"GkNe", {"gobmk", "namd"}};
+  cases.push_back({"dual-esteem", dual});
+
+  RunSpec sampled = canary_spec("mcf", Technique::Esteem);
+  sampled.config.sampling.enabled = true;
+  sampled.config.sampling.window_instr = 2'000;
+  sampled.config.sampling.detail_warm_instr = 500;
+  sampled.config.sampling.ff_warm_instr = 5'000;
+  sampled.config.sampling.cold_warm_instr = 20'000;
+  sampled.config.sampling.period_instr = 50'000;
+  sampled.instr_per_core = 300'000;
+  cases.push_back({"sampled-esteem", sampled});
+  return cases;
+}
+
+TEST(ModelCanary, OutcomeDigestsPinnedPerMemoVersion) {
+  using Pins = std::map<std::string, std::uint64_t>;
+  const std::map<std::uint32_t, Pins> pinned = {
+      {4,
+       {
+           {"baseline", 0x16DC27630D69C24FULL},
+           {"esteem", 0x8269CC48ADAEC6D6ULL},
+           {"rpv", 0xC5244B6FC83C85C9ULL},
+           {"dual-esteem", 0x91A832EE3D8615BCULL},
+           {"sampled-esteem", 0x8629C9AD77E705CAULL},
+       }},
+  };
+  const auto version = pinned.find(kMemoFormatVersion);
+  if (version == pinned.end()) {
+    ADD_FAILURE() << "no canary digests for memo format v" << kMemoFormatVersion
+                  << ": pin the ones printed below";
+  }
+  const Pins none;
+  const Pins& pins = version == pinned.end() ? none : version->second;
+  for (const CanaryCase& c : canary_cases()) {
+    const std::uint64_t digest = outcome_digest(run_experiment(c.spec));
+    const auto it = pins.find(c.name);
+    if (it == pins.end()) {
+      ADD_FAILURE() << "unpinned: {\"" << c.name << "\", 0x" << std::hex
+                    << std::uppercase << digest << "ULL},";
+      continue;
+    }
+    EXPECT_EQ(digest, it->second)
+        << c.name << " moved (0x" << std::hex << std::uppercase << digest
+        << "): the model's behaviour changed, so bump kMemoFormatVersion and pin the new "
+           "digests under it";
+  }
 }
 
 }  // namespace

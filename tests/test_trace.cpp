@@ -1,7 +1,10 @@
 // Unit tests for src/trace: patterns, benchmark profiles, workload lists.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "trace/patterns.hpp"
@@ -276,6 +279,123 @@ TEST(Profiles, GeneratorsBuildAndAreDeterministic) {
       EXPECT_EQ(ra.is_store, rb.is_store) << p.name;
     }
   }
+}
+
+// Stream canary: a 64-bit hash of the first 200k references of every Table 1
+// profile at a fixed seed and the default GeneratorContext. The generator's
+// hot path may be restructured for speed, but never by one output bit; a
+// deliberate model change re-records these values (and bumps the memo
+// format version, see the model canary in test_run_cache.cpp).
+std::uint64_t stream_hash(AccessGenerator& gen, int refs) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a over (block, gap, store)
+  auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h = (h ^ ((v >> (8 * byte)) & 0xFF)) * 0x100000001B3ULL;
+    }
+  };
+  for (int i = 0; i < refs; ++i) {
+    const MemRef r = gen.next();
+    mix(r.block);
+    mix((static_cast<std::uint64_t>(r.gap) << 1) | (r.is_store ? 1 : 0));
+  }
+  return h;
+}
+
+TEST(Profiles, StreamCanaryPinned) {
+  const std::unordered_map<std::string_view, std::uint64_t> pinned = {
+      {"astar", 0x48892D8E361ABD89ULL},
+      {"bwaves", 0xE31F9C476FBA8B37ULL},
+      {"bzip2", 0x3BCD6C21CD4BDD0DULL},
+      {"cactusADM", 0x22F6D3DBAE89C04DULL},
+      {"calculix", 0xFC9222045539A93AULL},
+      {"dealII", 0xD761063A63A39513ULL},
+      {"gamess", 0xE881175BF8834F6ULL},
+      {"gcc", 0xD6CD03899D8AA032ULL},
+      {"gemsFDTD", 0xC348E58D9D456C15ULL},
+      {"gobmk", 0x7B2AD2D3EAD00E20ULL},
+      {"gromacs", 0xCD46B38640CF7A4ULL},
+      {"h264ref", 0xE2194475B4F3BC37ULL},
+      {"hmmer", 0xCBFE7B3FB1B532E7ULL},
+      {"lbm", 0xFD1BECFA1C26D39CULL},
+      {"leslie3d", 0x2ED5780CC0A61195ULL},
+      {"libquantum", 0xF3F09A04C4F7786CULL},
+      {"mcf", 0x13C5B953308A143DULL},
+      {"milc", 0x8E7C09E2A8EA6830ULL},
+      {"namd", 0xACD6A75D4C2EAA46ULL},
+      {"omnetpp", 0x298D17731A350BFFULL},
+      {"perlbench", 0xB4EDC1E9F1DADB38ULL},
+      {"povray", 0x704F768C75824B49ULL},
+      {"sjeng", 0x1AB1BE3C6F7D53DFULL},
+      {"soplex", 0x86BE9ADE6DA8CE8EULL},
+      {"sphinx", 0x135B7F7DFA1EE041ULL},
+      {"tonto", 0xA2D4E386AC58EE8AULL},
+      {"wrf", 0x8B158B098F00ABC0ULL},
+      {"xalancbmk", 0xA7E8C3FF39ADD71CULL},
+      {"zeusmp", 0x66F0C3C0ECEEEA97ULL},
+      {"amg2013", 0xE5277E5597DDCD63ULL},
+      {"comd", 0xA3288762DC83EF3DULL},
+      {"lulesh", 0x98FE5A7F15CB5EBCULL},
+      {"nekbone", 0xEE8008F2C5B5A225ULL},
+      {"xsbench", 0x51A84B747362529BULL},
+  };
+  for (const auto& p : all_profiles()) {
+    auto gen = make_generator(p, GeneratorContext{}, 42);
+    const std::uint64_t h = stream_hash(*gen, 200'000);
+    const auto it = pinned.find(p.name);
+    if (it == pinned.end()) {
+      ADD_FAILURE() << "unpinned: {\"" << p.name << "\", 0x" << std::hex
+                    << std::uppercase << h << "ULL},";
+      continue;
+    }
+    EXPECT_EQ(h, it->second) << p.name << ": 0x" << std::hex << std::uppercase << h;
+  }
+}
+
+// The mixer's gap table must agree with the direct inversion formula
+// everywhere. The formula is non-increasing in the draw k as long as libm's
+// log is monotone; log is within 1 ulp of exact, so a non-monotone step
+// could only misplace a threshold by a few units of k. Checking a wide
+// neighbourhood of every threshold against the formula, evaluated here
+// independently of the mixer, therefore covers every k the table can decide
+// differently from the formula.
+TEST(InstructionMixer, GapTableMatchesFormulaAroundEveryThreshold) {
+  constexpr std::uint64_t kRadius = std::uint64_t{1} << 16;
+  constexpr std::uint64_t kDraws = std::uint64_t{1} << 53;
+  std::set<double> ratios;
+  for (const auto& p : all_profiles()) {
+    if (p.mem_ratio < 1.0) ratios.insert(p.mem_ratio);
+  }
+  ASSERT_FALSE(ratios.empty());
+  std::uint64_t checked = 0, mismatches = 0;
+  for (const double ratio : ratios) {
+    const InstructionMixer mixer(std::make_unique<StreamingPattern>(0, 1), ratio, 0.0, 1);
+    const double log_keep = std::log(1.0 - ratio);
+    const auto& thresholds = mixer.gap_threshold();
+    for (std::size_t n = 0; n < thresholds.size(); ++n) {
+      const std::uint64_t t = thresholds[n];
+      if (n > 0) {
+        ASSERT_LE(t, thresholds[n - 1]) << ratio;
+        if (t == thresholds[n - 1]) continue;  // same neighbourhood
+      }
+      const std::uint64_t lo = t > kRadius ? t - kRadius : 0;
+      const std::uint64_t hi = std::min(t + kRadius, kDraws - 1);
+      for (std::uint64_t k = lo; k <= hi; ++k) {
+        const double u = std::max(static_cast<double>(k) * 0x1.0p-53, 1e-12);
+        const auto direct = static_cast<std::uint32_t>(
+            std::min(std::floor(std::log(u) / log_keep), 1e6));
+        const std::uint32_t table = mixer.gap_of(k);
+        ++checked;
+        if (table != direct) {
+          ++mismatches;
+          ADD_FAILURE() << "mem_ratio " << ratio << " k " << k << ": table " << table
+                        << " formula " << direct;
+          if (mismatches > 10) return;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GT(checked, ratios.size() * kRadius);
 }
 
 TEST(Workloads, Table1Lists) {
