@@ -312,7 +312,8 @@ std::vector<ConfigKeySpec> build_schema() {
                       [](SystemConfig& c, std::uint64_t v) { c.resilience.backoff_ms = static_cast<std::uint32_t>(v); },
                       [](const SystemConfig& c) -> std::uint64_t { return c.resilience.backoff_ms; }));
   s.push_back(int_key("resilience", "max_consecutive_errors",
-                      "Circuit breaker: stop dispatching sweep rows after N consecutive run failures (0 = off)",
+                      "Circuit breaker: stop dispatching sweep rows after N consecutive run failures (0 = off); "
+                      "applies to in-process sweeps (including --journal), not to esteem_workerd workers",
                       [](SystemConfig& c, std::uint64_t v) { c.resilience.max_consecutive_errors = static_cast<std::uint32_t>(v); },
                       [](const SystemConfig& c) -> std::uint64_t { return c.resilience.max_consecutive_errors; }));
 

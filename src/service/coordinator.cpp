@@ -1,14 +1,18 @@
 #include "service/coordinator.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <optional>
 #include <thread>
 
 #include "resilience/shutdown.hpp"
 #include "service/observer.hpp"
+#include "service/wire.hpp"
+#include "service/worker.hpp"
 #include "sim/report.hpp"
-#include "sim/sweep_journal.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace esteem::service {
 
@@ -55,7 +59,7 @@ sim::SweepResult aggregate_rows(const LeaseTable& table, const TableState& state
         continue;
       }
       std::vector<sim::TechniqueComparison> decoded;
-      if (!sim::decode_comparisons(cell.data, 1, decoded)) {
+      if (!decode_comparisons(cell.data, 1, decoded)) {
         all_done = false;  // Undecodable despite a valid CRC: binary skew.
         continue;
       }
@@ -156,6 +160,85 @@ CollectResult wait_and_collect(const CoordinatorOptions& opts) {
     }
   }
   out.ok = true;
+  return out;
+}
+
+JournaledSweep run_journaled(const std::string& dir, const sim::SweepSpec& spec) {
+  JournaledSweep out;
+  const std::string owner = default_owner();
+  LeaseTable table;
+  if (!table.open(dir, owner) && !table.create(dir, spec, owner)) {
+    out.error = table.last_error();
+    return out;
+  }
+  // Row bytes are determined by the sweep hash and the workload list; the
+  // execution policy may differ from the planner's (e.g. a raised deadline
+  // after a breaker trip), so raw spec bytes are not compared.
+  bool same_workloads = table.spec().workloads.size() == spec.workloads.size();
+  for (std::size_t i = 0; same_workloads && i < spec.workloads.size(); ++i) {
+    same_workloads = table.spec().workloads[i].name == spec.workloads[i].name &&
+                     table.spec().workloads[i].benchmarks == spec.workloads[i].benchmarks;
+  }
+  if (!same_workloads || table.sweep_hash() != sweep_fingerprint_hash(spec)) {
+    out.error = "service dir " + dir + " already holds a different sweep";
+    return out;
+  }
+  const TableState st = table.load_state();
+  if (!st.ok || st.conflict) {
+    out.error = st.ok ? "integrity conflict in " + dir + ": differing cell digests"
+                      : st.error;
+    return out;
+  }
+  out.damaged_lines = st.damaged_lines;
+
+  // Fully done workloads are restored from their cell bytes; anything else
+  // (unresolved, errored, undecodable) re-runs.
+  sim::SweepResult restored = aggregate_rows(table, st);
+  out.result.techniques = spec.techniques;
+  out.result.rows.resize(spec.workloads.size());
+  sim::SweepSpec pending = spec;
+  pending.workloads.clear();
+  std::vector<std::size_t> pending_index;
+  std::map<std::string, std::size_t> index_of;
+  for (std::size_t wi = 0; wi < spec.workloads.size(); ++wi) {
+    if (restored.rows[wi].completed) {
+      out.result.rows[wi] = std::move(restored.rows[wi]);
+      ++out.restored;
+      continue;
+    }
+    pending.workloads.push_back(spec.workloads[wi]);
+    pending_index.push_back(wi);
+    index_of.emplace(spec.workloads[wi].name, wi);
+  }
+  if (out.restored > 0 && telemetry::active()) {
+    telemetry::registry().counter("sweep.resumed_rows").add(out.restored);
+  }
+  if (pending.workloads.empty()) return out;
+
+  const std::size_t n_tech = spec.techniques.size();
+  std::atomic<std::size_t> failed_appends{0};
+  pending.on_row = [&](const sim::WorkloadRow& row) {
+    const std::size_t wi = index_of.at(row.workload);
+    bool journaled = true;
+    for (std::size_t ti = 0; ti < n_tech; ++ti) {
+      const AppendStatus status = table.record(wi * n_tech + ti, row.comparisons[ti]);
+      journaled &= status == AppendStatus::kOk || status == AppendStatus::kDuplicate;
+    }
+    if (!journaled) failed_appends.fetch_add(1, std::memory_order_relaxed);
+  };
+  sim::SweepResult ran = sim::run_sweep(pending);
+  for (std::size_t k = 0; k < pending_index.size(); ++k) {
+    out.result.rows[pending_index[k]] = std::move(ran.rows[k]);
+  }
+  out.result.errors = std::move(ran.errors);
+  out.result.interrupted = ran.interrupted;
+  out.result.circuit_broken = ran.circuit_broken;
+  out.failed_appends = failed_appends.load();
+  if (out.failed_appends > 0) {
+    std::fprintf(stderr, "warning: %zu completed row(s) not journaled to %s (%s); "
+                 "a rerun recomputes them\n",
+                 out.failed_appends, dir.c_str(), table.last_error().c_str());
+  }
   return out;
 }
 

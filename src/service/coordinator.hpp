@@ -2,7 +2,9 @@
 // for cooperating workers to resolve every (workload x technique) row, and
 // aggregates the journaled cells into the same SweepResult a single-process
 // run_sweep would return — same CSV bytes, same report, same error list
-// (DESIGN.md §12).
+// (DESIGN.md §12). run_journaled is the in-process owner of the same
+// directory format: it runs the sweep on the local task pool and journals
+// each clean row as it finishes (DESIGN.md §11).
 #pragma once
 
 #include <cstdint>
@@ -51,6 +53,27 @@ sim::SweepResult aggregate_rows(const LeaseTable& table, const TableState& state
 /// aggregates and writes opts.csv_path. Returns early on shutdown, timeout,
 /// an unreadable journal, or an integrity conflict.
 CollectResult wait_and_collect(const CoordinatorOptions& opts);
+
+struct JournaledSweep {
+  std::string error;        ///< Set when the dir was refused; nothing ran.
+  sim::SweepResult result;  ///< Restored and freshly run rows, in spec order.
+  std::size_t restored = 0;        ///< Rows restored from the dir, not re-run.
+  std::size_t damaged_lines = 0;   ///< Journal lines skipped while restoring.
+  std::size_t failed_appends = 0;  ///< Clean rows whose cells did not journal.
+
+  bool ok() const noexcept { return error.empty(); }
+};
+
+/// Runs `spec` journaled into the service directory `dir`: opens it (or
+/// plans it when missing or headerless), restores every workload whose
+/// cells are all done, runs the rest through sim::run_sweep, and records
+/// each clean row's cells the moment the row finishes. Rerunning the same
+/// sweep on the same dir resumes it. A dir holding a different sweep
+/// (sweep_fingerprint_hash or workload list differ) is refused with nothing
+/// appended; execution-policy keys ([resilience], [service],
+/// [observability]) may change between runs. Failed appends never fail the
+/// sweep: they are counted and reported once on stderr.
+JournaledSweep run_journaled(const std::string& dir, const sim::SweepSpec& spec);
 
 /// Prints the figure report + error list for a collected sweep (mirroring
 /// esteem_cli's sweep output) and returns the process exit code:

@@ -8,7 +8,6 @@
 #include "resilience/lock_file.hpp"
 #include "service/wire.hpp"
 #include "sim/run_cache.hpp"
-#include "sim/sweep_journal.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace esteem::service {
@@ -121,15 +120,18 @@ bool LeaseTable::write_header() {
 
 bool LeaseTable::create(const std::string& dir, const sim::SweepSpec& spec,
                         const std::string& owner) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    last_error_.clear();  // A failed open() before this re-plan is moot.
+  }
   dir_ = dir;
   owner_ = sanitize_owner(owner);
   spec_ = spec;
-  // The journal/resume/thread plumbing belongs to the process that built the
+  // The row callback and thread count belong to the process that built the
   // spec, not to the sweep's identity; rows are computed one lease at a time.
-  spec_.journal = nullptr;
-  spec_.resume = nullptr;
+  spec_.on_row = nullptr;
   spec_.threads = 1;
-  sweep_hash_ = sim::sweep_fingerprint_hash(spec_);
+  sweep_hash_ = sweep_fingerprint_hash(spec_);
 
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
@@ -189,7 +191,7 @@ bool LeaseTable::open(const std::string& dir, const std::string& owner) {
     return false;
   }
   std::uint64_t stored_hash = 0;
-  sweep_hash_ = sim::sweep_fingerprint_hash(spec_);
+  sweep_hash_ = sweep_fingerprint_hash(spec_);
   if (!parse_hex_u64(header->field("hash"), stored_hash) || stored_hash != sweep_hash_) {
     // The decoded spec does not hash to what the planner recorded: either
     // the codec dropped a field or the binaries disagree about the
@@ -376,37 +378,50 @@ bool LeaseTable::renew(const LeaseClaim& claim, std::int64_t now_ms) {
 
 AppendStatus LeaseTable::complete(const LeaseClaim& claim,
                                   const sim::TechniqueComparison& comparison) {
-  const std::string data = sim::encode_comparisons({comparison});
-  const std::uint64_t digest = sim::fingerprint_hash(data);
-
+  const std::string data = encode_comparisons({comparison});
   const TableState st = load_state();
-  if (!st.ok || claim.row >= st.rows.size()) {
+  if (st.ok && claim.row < st.rows.size()) {
+    const RowState& r = st.rows[claim.row];
+    if (r.lease_id != claim.lease_id && !(r.done && r.digest == sim::fingerprint_hash(data))) {
+      // Zombie fence: our lease expired and the row was re-leased (or is
+      // being re-run); writing now could race the thief, so write nothing.
+      // If the thief already landed the same digest, append_cell dedupes.
+      tick("service.fenced_appends");
+      return AppendStatus::kFenced;
+    }
+  }
+  return append_cell(st, claim.row, data, &claim);
+}
+
+AppendStatus LeaseTable::record(std::size_t row, const sim::TechniqueComparison& comparison) {
+  return append_cell(load_state(), row, encode_comparisons({comparison}), nullptr);
+}
+
+AppendStatus LeaseTable::append_cell(const TableState& st, std::size_t row,
+                                     const std::string& data, const LeaseClaim* claim) {
+  if (!st.ok || row >= st.rows.size()) {
     const std::lock_guard<std::mutex> lock(mutex_);
     last_error_ = st.ok ? "row index out of range" : st.error;
     return AppendStatus::kError;
   }
-  const RowState& r = st.rows[claim.row];
+  const std::uint64_t digest = sim::fingerprint_hash(data);
+  const RowState& r = st.rows[row];
   if (r.done && r.digest == digest) {
     tick("service.duplicate_cells");
     return AppendStatus::kDuplicate;
   }
-  if (r.lease_id != claim.lease_id) {
-    // Zombie fence: our lease expired and the row was re-leased (or is being
-    // re-run); writing now could race the thief, so write nothing. If the
-    // thief already landed the same digest we'd have deduplicated above.
-    tick("service.fenced_appends");
-    return AppendStatus::kFenced;
-  }
 
   resilience::JournalRecord rec;
   rec.kind = "cell";
-  rec.fields = {{"row", dec(claim.row)},
-                {"id", hex_u64(claim.lease_id)},
-                {"gen", dec(claim.generation)},
-                {"digest", hex_u64(digest)},
-                {"owner", owner_},
-                {"t", dec(static_cast<std::uint64_t>(wall_ms()))},
-                {"data", to_hex(data)}};
+  rec.fields = {{"row", dec(row)}};
+  if (claim != nullptr) {
+    rec.fields.emplace_back("id", hex_u64(claim->lease_id));
+    rec.fields.emplace_back("gen", dec(claim->generation));
+  }
+  rec.fields.emplace_back("digest", hex_u64(digest));
+  rec.fields.emplace_back("owner", owner_);
+  rec.fields.emplace_back("t", dec(static_cast<std::uint64_t>(wall_ms())));
+  rec.fields.emplace_back("data", to_hex(data));
   if (!locked_append(rec)) {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (last_error_.empty()) {
@@ -414,10 +429,13 @@ AppendStatus LeaseTable::complete(const LeaseClaim& claim,
     }
     return AppendStatus::kError;
   }
-  // Done with a different digest while we still own the lease: the journal
-  // now holds both cells and load_state flags the row conflicted — a hard
-  // integrity error (deterministic sims cannot legitimately disagree).
-  return r.done ? AppendStatus::kConflict : AppendStatus::kOk;
+  if (!r.done) return AppendStatus::kOk;
+  // Already done with a different digest: the journal now holds both cells
+  // and load_state flags the row conflicted — a hard integrity error
+  // (deterministic sims cannot legitimately disagree).
+  const std::lock_guard<std::mutex> lock(mutex_);
+  last_error_ = "integrity conflict on row " + dec(row) + ": differing digests";
+  return AppendStatus::kConflict;
 }
 
 AppendStatus LeaseTable::fail(const LeaseClaim& claim, const sim::RunError& error) {

@@ -31,7 +31,9 @@
 //
 // Fencing: complete()/fail() re-read the journal first and refuse to append
 // when the row's current lease is no longer the caller's — a worker that
-// stalled past its TTL (zombie) cannot journal over the thief's result. The
+// stalled past its TTL (zombie) cannot journal over the thief's result.
+// record() is the lease-free append of a sole in-process owner
+// (service::run_journaled): its `cell` records carry no id/gen. The
 // residual append/append race between two live-looking writers is resolved
 // at read time: the simulator is deterministic, so double `cell` records
 // must carry identical digests and are deduplicated; differing digests mark
@@ -145,10 +147,18 @@ class LeaseTable {
   /// Journals the row's result. Fenced (nothing written) when the lease is
   /// no longer ours; deduplicated when an identical result already landed.
   AppendStatus complete(const LeaseClaim& claim, const sim::TechniqueComparison& comparison);
+  /// Lease-free complete(): journals `row`'s result without claiming it.
+  /// Deduplicated when an identical result already landed; kConflict (and
+  /// last_error()) when a different one did.
+  AppendStatus record(std::size_t row, const sim::TechniqueComparison& comparison);
   AppendStatus fail(const LeaseClaim& claim, const sim::RunError& error);
 
  private:
   bool write_header();
+  /// The one `cell` append path: dedupe/conflict against `st`, then append
+  /// (with the lease id/generation when `claim` is non-null).
+  AppendStatus append_cell(const TableState& st, std::size_t row, const std::string& data,
+                           const LeaseClaim* claim);
   std::uint64_t next_lease_id(std::int64_t now_ms);
   /// Appends through the configured serialization: straight O_APPEND
   /// ([service] lock_mode=append) or wrapped in an advisory lock file

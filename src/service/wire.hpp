@@ -1,11 +1,12 @@
-// Canonical byte codec for shipping a SweepSpec through the service
-// journal, so N worker processes reconstruct the coordinator's sweep
-// bit-exactly (INI round-trips truncate floats; this codec is f64-exact).
+// Canonical byte codecs of the service journal: the SweepSpec carried by
+// the `svc` header, so N worker processes reconstruct the planner's sweep
+// bit-exactly (INI round-trips truncate floats; this codec is f64-exact),
+// and the TechniqueComparison bytes carried by every `cell` record.
 //
 // Only result-determining fields plus the execution-policy sections
-// ([resilience], [service], [observability]) are encoded; the journal/resume
-// pointers and the thread count are deliberately excluded — they never
-// change a row's bytes.
+// ([resilience], [service], [observability]) are encoded; the row callback
+// and the thread count are deliberately excluded — they never change a
+// row's bytes.
 //
 // Skew guard: the service header stores both these bytes and the sweep's
 // fingerprint hash. A worker recomputes the hash from the *decoded* spec and
@@ -16,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/runner.hpp"
 
@@ -32,5 +34,19 @@ std::string encode_sweep_spec(const sim::SweepSpec& spec);
 /// Inverse of encode_sweep_spec into a default-constructed spec; false on
 /// truncation, trailing bytes, or a version mismatch.
 bool decode_sweep_spec(const std::string& bytes, sim::SweepSpec& out);
+
+/// Identity of a sweep's row bytes: a hash over everything that determines
+/// them (config, techniques, seed, budgets) EXCEPT the workload list, which
+/// the service header pins separately, and the execution-policy sections
+/// ([resilience], [service], [observability]), which never change a row.
+std::uint64_t sweep_fingerprint_hash(const sim::SweepSpec& spec);
+
+/// Canonical byte encoding of a comparison vector (hex-armored into `cell`
+/// records). Not versioned: the header's sweep hash pins the semantics.
+std::string encode_comparisons(const std::vector<sim::TechniqueComparison>& comparisons);
+/// Inverse of encode_comparisons; false on a count other than
+/// `n_techniques`, truncation, or trailing bytes.
+bool decode_comparisons(const std::string& bytes, std::size_t n_techniques,
+                        std::vector<sim::TechniqueComparison>& out);
 
 }  // namespace esteem::service

@@ -248,10 +248,10 @@ WorkerReport run_worker(const WorkerOptions& opts) {
     try {
       const auto base = sim::run_guarded(
           sim::sweep_run_spec(spec, wl, sim::Technique::BaselinePeriodicAll),
-          "baseline:" + wl.name, nullptr);
+          "baseline:" + wl.name);
       phase_label = tech_name;
       const auto tech = sim::run_guarded(sim::sweep_run_spec(spec, wl, technique),
-                                         tech_name + ":" + wl.name, nullptr);
+                                         tech_name + ":" + wl.name);
       comparison = sim::compare(wl.name, technique, *base, *tech);
     } catch (...) {
       error = sim::current_exception_to_run_error(wl.name, phase_label);

@@ -52,9 +52,8 @@ std::string run_spec_fingerprint(const RunSpec& spec);
 /// log lines.
 std::uint64_t fingerprint_hash(const std::string& fingerprint);
 
-/// FNV-1a over the canonical serialized form of a RunOutcome. Journal
-/// records carry this digest so a resume can assert that a replayed row
-/// matches what the interrupted process computed, bit for bit.
+/// FNV-1a over the canonical serialized form of a RunOutcome: a bit-exact
+/// identity for checking a memoized or replayed run against a fresh one.
 std::uint64_t outcome_digest(const RunOutcome& outcome);
 
 struct RunCacheStats {

@@ -11,7 +11,6 @@
 #include "resilience/shutdown.hpp"
 #include "resilience/watchdog.hpp"
 #include "sim/run_cache.hpp"
-#include "sim/sweep_journal.hpp"
 #include "sim/task_pool.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -56,8 +55,8 @@ struct WorkloadTaskState {
   /// Set when the consecutive-error circuit breaker drained a task instead.
   std::atomic<bool> breaker_skipped{false};
   /// Technique tasks still outstanding; the task that takes it to zero
-  /// journals the completed row (all sibling writes are visible to it via
-  /// the acq_rel decrement).
+  /// hands the completed row to SweepSpec::on_row (all sibling writes are
+  /// visible to it via the acq_rel decrement).
   std::atomic<std::size_t> remaining{0};
 };
 
@@ -118,11 +117,10 @@ RunError current_exception_to_run_error(const std::string& workload,
   }
 }
 
-std::shared_ptr<const RunOutcome> run_guarded(const RunSpec& rs, const std::string& label,
-                                              SweepJournal* journal) {
+std::shared_ptr<const RunOutcome> run_guarded(const RunSpec& rs, const std::string& label) {
   const ResilienceConfig& rc = rs.config.resilience;
   const resilience::RetryPolicy policy{rc.max_retries, rc.backoff_ms};
-  auto outcome = resilience::with_retries(
+  return resilience::with_retries(
       policy,
       [&]() -> std::shared_ptr<const RunOutcome> {
         resilience::WatchdogGuard guard(label, rc.run_deadline_ms);
@@ -140,11 +138,6 @@ std::shared_ptr<const RunOutcome> run_guarded(const RunSpec& rs, const std::stri
           telemetry::registry().counter("resilience.retries").add();
         }
       });
-  if (journal != nullptr) {
-    journal->append_run(fingerprint_hash(run_spec_fingerprint(rs)),
-                        outcome_digest(*outcome));
-  }
-  return outcome;
 }
 
 SweepResult run_sweep(const SweepSpec& spec) {
@@ -161,12 +154,6 @@ SweepResult run_sweep(const SweepSpec& spec) {
   const std::size_t n_workloads = spec.workloads.size();
   const std::size_t n_techniques = spec.techniques.size();
 
-  if (spec.resume != nullptr &&
-      (spec.resume->sweep_hash != sweep_fingerprint_hash(spec) ||
-       spec.resume->n_techniques != n_techniques)) {
-    throw std::invalid_argument("run_sweep: resume state is for a different sweep");
-  }
-
   SweepResult result;
   result.techniques = spec.techniques;
   result.rows.resize(n_workloads);
@@ -174,52 +161,38 @@ SweepResult run_sweep(const SweepSpec& spec) {
   // Every (workload, technique) cell has a preallocated slot written by
   // exactly one task, so the threaded schedule produces bit-identical rows
   // to the inline (threads = 1) schedule regardless of completion order.
-  // Workloads found in the resume state are restored bit-exactly from their
-  // journaled bytes and never scheduled.
   std::vector<std::unique_ptr<WorkloadTaskState>> states;
   states.reserve(n_workloads);
-  std::size_t scheduled = 0;
   for (std::size_t i = 0; i < n_workloads; ++i) {
     WorkloadRow& row = result.rows[i];
     row.workload = spec.workloads[i].name;
-    if (const auto* restored =
-            spec.resume != nullptr ? spec.resume->find(row.workload) : nullptr) {
-      row.comparisons = *restored;
-      row.completed = true;
-      row.resumed = true;
-      states.push_back(nullptr);
-      if (telemetry::active()) telemetry::registry().counter("sweep.resumed_rows").add();
-      continue;
-    }
     row.comparisons.assign(n_techniques, TechniqueComparison{});
     auto state = std::make_unique<WorkloadTaskState>();
     state->baseline = state->baseline_promise.get_future().share();
     state->technique_errors.resize(n_techniques);
     state->remaining.store(n_techniques, std::memory_order_relaxed);
     states.push_back(std::move(state));
-    ++scheduled;
   }
 
-  // One unit per scheduled task: baseline + every technique of the workload.
-  // A failed (or shutdown-skipped) baseline retires its techniques' units
-  // without scheduling them.
-  std::latch done(static_cast<std::ptrdiff_t>(scheduled * (1 + n_techniques)));
+  // One unit per task: baseline + every technique of the workload. A failed
+  // (or shutdown-skipped) baseline retires its techniques' units without
+  // scheduling them.
+  std::latch done(static_cast<std::ptrdiff_t>(n_workloads * (1 + n_techniques)));
 
   const unsigned resolved = TaskPool::resolve_threads(spec.threads);
   TaskPool pool(std::min<unsigned>(
-      resolved, static_cast<unsigned>(scheduled * (1 + n_techniques))));
+      resolved, static_cast<unsigned>(n_workloads * (1 + n_techniques))));
 
   CircuitBreaker breaker(spec.config.resilience.max_consecutive_errors);
 
   for (std::size_t wi = 0; wi < n_workloads; ++wi) {
-    if (states[wi] == nullptr) continue;  // restored from the journal
     pool.submit([&spec, &result, &states, &pool, &done, &breaker, wi,
                  n_techniques] {
       const trace::Workload& workload = spec.workloads[wi];
       WorkloadTaskState& state = *states[wi];
 
       // Graceful shutdown: queued tasks drain without executing, so the
-      // pool empties, completed rows stay journaled, and the caller reports
+      // pool empties, completed rows stay persisted, and the caller reports
       // the sweep as interrupted. A tripped circuit breaker drains the same
       // way but marks the row breaker-skipped.
       if (resilience::shutdown_requested()) {
@@ -240,7 +213,7 @@ SweepResult run_sweep(const SweepSpec& spec) {
       try {
         base = run_guarded(
             sweep_run_spec(spec, workload, Technique::BaselinePeriodicAll),
-            "baseline:" + workload.name, spec.journal);
+            "baseline:" + workload.name);
         breaker.note_success();
       } catch (...) {
         state.baseline_error =
@@ -275,7 +248,7 @@ SweepResult run_sweep(const SweepSpec& spec) {
             const std::shared_ptr<const RunOutcome> baseline = st.baseline.get();
             const std::shared_ptr<const RunOutcome> tech = run_guarded(
                 sweep_run_spec(spec, wl, technique),
-                std::string(to_string(technique)) + ":" + wl.name, spec.journal);
+                std::string(to_string(technique)) + ":" + wl.name);
             result.rows[wi].comparisons[ti] = compare(wl.name, technique, *baseline, *tech);
             breaker.note_success();
           } catch (...) {
@@ -283,11 +256,11 @@ SweepResult run_sweep(const SweepSpec& spec) {
                 wl.name, std::string(to_string(technique)));
             breaker.note_error();
           }
-          // The task that retires the workload's last technique journals the
-          // row — but only a fully clean one, so an errored or interrupted
-          // workload re-runs on resume.
+          // The task that retires the workload's last technique hands the
+          // row to on_row — but only a fully clean one, so an errored or
+          // interrupted workload re-runs on resume.
           if (st.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-              spec.journal != nullptr &&
+              spec.on_row &&
               !st.skipped.load(std::memory_order_relaxed) &&
               !st.breaker_skipped.load(std::memory_order_relaxed) &&
               !st.baseline_error) {
@@ -295,7 +268,7 @@ SweepResult run_sweep(const SweepSpec& spec) {
             for (const std::optional<RunError>& e : st.technique_errors) {
               if (e) clean = false;
             }
-            if (clean) spec.journal->append_row(result.rows[wi]);
+            if (clean) spec.on_row(result.rows[wi]);
           }
           done.count_down();
         });
@@ -310,7 +283,6 @@ SweepResult run_sweep(const SweepSpec& spec) {
   // Shutdown-skipped workloads carry no error — they simply re-run on
   // resume.
   for (std::size_t wi = 0; wi < n_workloads; ++wi) {
-    if (states[wi] == nullptr) continue;  // restored row, already completed
     WorkloadTaskState& state = *states[wi];
     if (state.skipped.load(std::memory_order_relaxed)) {
       result.rows[wi].skipped = true;
@@ -323,9 +295,9 @@ SweepResult run_sweep(const SweepSpec& spec) {
     }
     if (state.breaker_skipped.load(std::memory_order_relaxed)) {
       // Breaker-skipped rows are not "interrupted": the errors that tripped
-      // the breaker make the sweep exit 3, and the journal lets the rows
-      // resume under a fixed config. A workload that errored *and* was then
-      // breaker-skipped still reports its error — the trip must never
+      // the breaker make the sweep exit 3, and a journaled sweep lets the
+      // rows resume under a fixed config. A workload that errored *and* was
+      // then breaker-skipped still reports its error — the trip must never
       // swallow the failures that caused it.
       result.rows[wi].skipped = true;
       result.circuit_broken = true;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/config.hpp"
@@ -19,8 +20,7 @@
 
 namespace esteem::sim {
 
-class SweepJournal;
-struct SweepResumeState;
+struct WorkloadRow;
 
 struct SweepSpec {
   SystemConfig config;
@@ -32,13 +32,10 @@ struct SweepSpec {
   instr_t warmup_instr_per_core = 0;
   /// 0 = use hardware concurrency.
   unsigned threads = 0;
-  /// Optional crash-safe journal (sim/sweep_journal.hpp): every completed
-  /// workload row is appended (and fsync'd) the moment its last technique
-  /// finishes. Not owned.
-  SweepJournal* journal = nullptr;
-  /// Optional resume state loaded from a prior journal: workloads found
-  /// there are restored bit-exactly instead of re-run. Not owned.
-  const SweepResumeState* resume = nullptr;
+  /// Optional: called with every fully clean row the moment its last
+  /// technique finishes, by that task's pool thread (so possibly from
+  /// several threads at once). service::run_journaled persists rows here.
+  std::function<void(const WorkloadRow&)> on_row;
 };
 
 struct WorkloadRow {
@@ -52,8 +49,6 @@ struct WorkloadRow {
   /// True when the row was never evaluated because shutdown was requested
   /// mid-sweep; such rows carry no error and re-run on resume.
   bool skipped = false;
-  /// True when the row was restored from a resume journal instead of run.
-  bool resumed = false;
 };
 
 /// One failed workload evaluation, recorded instead of terminating the sweep.
@@ -103,13 +98,11 @@ RunSpec sweep_run_spec(const SweepSpec& spec, const trace::Workload& workload,
 
 /// run_experiment_cached under the sweep's resilience policy: a per-attempt
 /// watchdog deadline (a late result is discarded and surfaces as
-/// resilience::DeadlineExceeded), transient failures retried with capped
-/// exponential backoff, and — when `journal` is non-null — a durable
-/// (fingerprint -> outcome digest) audit record per completed run. Shared by
-/// the in-process scheduler and the service worker.
+/// resilience::DeadlineExceeded) and transient failures retried with capped
+/// exponential backoff. Shared by the in-process scheduler and the service
+/// worker.
 std::shared_ptr<const RunOutcome> run_guarded(const RunSpec& spec,
-                                              const std::string& label,
-                                              SweepJournal* journal);
+                                              const std::string& label);
 
 /// Maps the in-flight exception (rethrown internally) to a structured
 /// RunError for `workload`/`technique` — phase "deadline" for watchdog

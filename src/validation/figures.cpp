@@ -5,10 +5,12 @@
 #include <memory>
 #include <sstream>
 
+#include "common/bytes.hpp"
 #include "common/table.hpp"
+#include "service/coordinator.hpp"
+#include "service/wire.hpp"
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
-#include "sim/sweep_journal.hpp"
 #include "trace/workloads.hpp"
 
 namespace esteem::validation {
@@ -122,34 +124,27 @@ FigureResult run_figure(const FigureSpec& spec, const ScaleSpec& scale,
   sweep.seed = scale.seed;
   sweep.threads = scale.threads;
 
-  // Crash safety: one journal per figure next to the validator's output.
-  // A resume restores completed rows bit-exactly; an incompatible journal
-  // (different config/scale) is ignored so the figure re-runs cleanly.
-  sim::SweepJournal journal;
-  sim::ResumeLoad resume;
-  if (!options.journal_dir.empty()) {
-    const std::string path = options.journal_dir + "/" + spec.id + ".journal";
-    if (options.resume) {
-      resume = sim::load_resume_state(path, sweep);
-      if (resume.ok) {
-        sweep.resume = &resume.state;
+  // Crash safety: one service dir per (figure, sweep identity). A rerun
+  // restores completed rows bit-exactly; a dir that cannot be used leaves
+  // the figure to run unjournaled.
+  if (options.journal_dir.empty()) {
+    result.sweep = sim::run_sweep(sweep);
+  } else {
+    const std::string dir = options.journal_dir + "/" + spec.id + "-" +
+                            hex_u64(service::sweep_fingerprint_hash(sweep));
+    service::JournaledSweep journaled = service::run_journaled(dir, sweep);
+    if (journaled.ok()) {
+      if (journaled.restored > 0) {
         std::fprintf(stderr, "%s: resumed %zu row(s) from %s\n", spec.id.c_str(),
-                     resume.state.rows.size(), path.c_str());
-      } else {
-        std::fprintf(stderr, "%s: not resuming (%s)\n", spec.id.c_str(),
-                     resume.error.c_str());
+                     journaled.restored, dir.c_str());
       }
-    }
-    if (journal.open(path, sweep)) {
-      sweep.journal = &journal;
+      result.sweep = std::move(journaled.result);
     } else {
       std::fprintf(stderr, "%s: journaling disabled (%s)\n", spec.id.c_str(),
-                   journal.last_error().c_str());
+                   journaled.error.c_str());
+      result.sweep = sim::run_sweep(sweep);
     }
   }
-
-  result.sweep = sim::run_sweep(sweep);
-  journal.close();
   bool any_completed = false;
   for (const sim::WorkloadRow& row : result.sweep.rows) {
     any_completed |= row.completed;

@@ -61,15 +61,13 @@ struct FigureResult {
 /// recompute-interval-after-retention-change order).
 SystemConfig figure_config(const FigureSpec& spec, const ScaleSpec& scale);
 
-/// Crash-safety options for run_figure (see sim/sweep_journal.hpp).
+/// Crash-safety options for run_figure.
 struct FigureRunOptions {
-  /// When nonempty, each figure journals its completed rows to
-  /// `<journal_dir>/<figure-id>.journal` as it runs.
+  /// When nonempty, each figure journals its completed rows into the
+  /// service directory `<journal_dir>/<figure-id>-<sweep hash>/`
+  /// (service::run_journaled), so rerunning the same figure resumes it and
+  /// a different scale or perturbation gets a directory of its own.
   std::string journal_dir;
-  /// Restore rows from an existing journal before running (a journal
-  /// recorded by a different configuration is ignored with a warning — the
-  /// figure then simply re-runs from scratch).
-  bool resume = false;
 };
 
 /// Runs one figure through the memoized sweep scheduler. Summary averages

@@ -1,7 +1,9 @@
-// Tests for the multi-process sweep service: spec wire codec, lease
+// Tests for the sweep service: spec and row wire codecs, lease
 // claim/renew/expiry/steal with injected clocks, zombie fencing, duplicate
-// dedupe, digest-conflict detection, and in-process worker/coordinator
-// byte-identity against run_sweep.
+// dedupe, digest-conflict detection, in-process worker/coordinator
+// byte-identity against run_sweep, and the in-process journaled sweep
+// (rerun-restores, refused reuse, failed appends, one protocol with the
+// workers).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -11,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos/fault_plan.hpp"
 #include "common/bytes.hpp"
 #include "resilience/journal_file.hpp"
 #include "resilience/shutdown.hpp"
@@ -24,7 +27,6 @@
 #include "sim/report.hpp"
 #include "sim/run_cache.hpp"
 #include "sim/runner.hpp"
-#include "sim/sweep_journal.hpp"
 
 namespace esteem::service {
 namespace {
@@ -75,10 +77,43 @@ sim::TechniqueComparison sample_comparison(double salt) {
   c.technique = sim::Technique::RefrintRPV;
   c.energy_saving_pct = 12.25 + salt;
   c.weighted_speedup = 1.0625;
+  c.fair_speedup = 1.03125;
   c.rpki_base = 400.5;
   c.rpki_tech = 100.125;
+  c.rpki_decrease = 300.375;
+  c.mpki_base = 2.5;
+  c.mpki_tech = 2.75;
+  c.mpki_increase = 0.25;
   c.active_ratio_pct = 87.5;
+  c.ecc_corrected_reads = 11;
+  c.fault_refetches = 22;
+  c.fault_data_loss = 33;
+  c.fault_disabled_lines = 44;
+  c.correction_rpki = 0.0078125;
   return c;
+}
+
+void expect_same_comparison(const sim::TechniqueComparison& a,
+                            const sim::TechniqueComparison& b) {
+  EXPECT_EQ(a.workload, b.workload);
+  EXPECT_EQ(a.technique, b.technique);
+  // Exact double equality on purpose: cells promise bit-identical
+  // restoration.
+  EXPECT_EQ(a.energy_saving_pct, b.energy_saving_pct);
+  EXPECT_EQ(a.weighted_speedup, b.weighted_speedup);
+  EXPECT_EQ(a.fair_speedup, b.fair_speedup);
+  EXPECT_EQ(a.rpki_base, b.rpki_base);
+  EXPECT_EQ(a.rpki_tech, b.rpki_tech);
+  EXPECT_EQ(a.rpki_decrease, b.rpki_decrease);
+  EXPECT_EQ(a.mpki_base, b.mpki_base);
+  EXPECT_EQ(a.mpki_tech, b.mpki_tech);
+  EXPECT_EQ(a.mpki_increase, b.mpki_increase);
+  EXPECT_EQ(a.active_ratio_pct, b.active_ratio_pct);
+  EXPECT_EQ(a.ecc_corrected_reads, b.ecc_corrected_reads);
+  EXPECT_EQ(a.fault_refetches, b.fault_refetches);
+  EXPECT_EQ(a.fault_data_loss, b.fault_data_loss);
+  EXPECT_EQ(a.fault_disabled_lines, b.fault_disabled_lines);
+  EXPECT_EQ(a.correction_rpki, b.correction_rpki);
 }
 
 std::string read_file(const std::string& path) {
@@ -121,7 +156,7 @@ TEST(ServiceWire, RoundTripIsExact) {
   ASSERT_EQ(out.techniques.size(), 2u);
   EXPECT_EQ(out.techniques[0], sim::Technique::Esteem);
   // Decoded specs must hash identically — the service header's skew guard.
-  EXPECT_EQ(sim::sweep_fingerprint_hash(out), sim::sweep_fingerprint_hash(spec));
+  EXPECT_EQ(sweep_fingerprint_hash(out), sweep_fingerprint_hash(spec));
 }
 
 TEST(ServiceWire, RejectsTruncationTrailingBytesAndForeignVersion) {
@@ -220,6 +255,62 @@ TEST(ServiceWireFuzz, DecodeIsTotalAndAcceptedSpecsAreSelfConsistent) {
     for (int b = 0; b < 8; ++b) m[at + b] = static_cast<char>(0xFF);
     check(m);
   }
+}
+
+TEST(ServiceWire, ComparisonsRoundTripBitExactly) {
+  const std::vector<sim::TechniqueComparison> original{sample_comparison(0.0),
+                                                       sample_comparison(1.0)};
+  const std::string bytes = encode_comparisons(original);
+  std::vector<sim::TechniqueComparison> decoded;
+  ASSERT_TRUE(decode_comparisons(bytes, 2, decoded));
+  ASSERT_EQ(decoded.size(), 2u);
+  expect_same_comparison(decoded[0], original[0]);
+  expect_same_comparison(decoded[1], original[1]);
+}
+
+TEST(ServiceWire, ComparisonsRejectWrongArityAndTruncation) {
+  const std::string bytes =
+      encode_comparisons({sample_comparison(0.0), sample_comparison(1.0)});
+  std::vector<sim::TechniqueComparison> decoded;
+  EXPECT_FALSE(decode_comparisons(bytes, 3, decoded));
+  EXPECT_FALSE(decode_comparisons(bytes.substr(0, bytes.size() / 2), 2, decoded));
+  EXPECT_FALSE(decode_comparisons("", 1, decoded));
+}
+
+TEST(ServiceWire, SweepHashIgnoresWorkloadListOnly) {
+  const std::vector<sim::Technique> techs{sim::Technique::Esteem,
+                                          sim::Technique::RefrintRPV};
+  const sim::SweepSpec base = tiny_sweep({"gamess", "gobmk"}, techs);
+  const std::uint64_t h = sweep_fingerprint_hash(base);
+
+  // The workload list is pinned by the svc header itself, not the hash.
+  EXPECT_EQ(sweep_fingerprint_hash(tiny_sweep({"gamess"}, techs)), h);
+  EXPECT_EQ(sweep_fingerprint_hash(tiny_sweep({"libquantum", "omnetpp"}, techs)), h);
+
+  // Everything that changes a row's bytes changes the hash.
+  sim::SweepSpec s = base;
+  s.seed = 43;
+  EXPECT_NE(sweep_fingerprint_hash(s), h);
+  s = base;
+  s.instr_per_core += 1;
+  EXPECT_NE(sweep_fingerprint_hash(s), h);
+  s = base;
+  s.techniques = {sim::Technique::RefrintRPV};
+  EXPECT_NE(sweep_fingerprint_hash(s), h);
+  s = base;
+  s.techniques = {sim::Technique::RefrintRPV, sim::Technique::Esteem};  // order matters
+  EXPECT_NE(sweep_fingerprint_hash(s), h);
+  s = base;
+  s.config.edram.retention_us += 1.0;
+  EXPECT_NE(sweep_fingerprint_hash(s), h);
+
+  // Thread count and execution policy never change row bytes, so they must
+  // not poison a rerun.
+  s = base;
+  s.threads = 8;
+  s.config.resilience.max_retries += 2;
+  s.config.service.lease_ttl_ms += 1;
+  EXPECT_EQ(sweep_fingerprint_hash(s), h);
 }
 
 // ---------------------------------------------------------------- lease table
@@ -349,7 +440,7 @@ TEST(LeaseTable, ConflictingDigestsAreAHardIntegrityError) {
   // Forge what a mismatched binary would do: a second success cell for the
   // same row with a different digest (the append/append race the fence
   // cannot close is resolved at read time).
-  const std::string data = sim::encode_comparisons({sample_comparison(99.0)});
+  const std::string data = encode_comparisons({sample_comparison(99.0)});
   resilience::JournalFile raw;
   ASSERT_TRUE(raw.open(LeaseTable::journal_path(dir.str()), /*truncate=*/false));
   resilience::JournalRecord rec;
@@ -512,6 +603,240 @@ TEST(ServiceEndToEnd, FailedWorkloadsMirrorRunSweepErrors) {
   EXPECT_EQ(sim::figure_report(collected.result, "sweep"),
             sim::figure_report(direct, "sweep"));
   EXPECT_EQ(report_collect(collected, CoordinatorOptions{}), 3);
+}
+
+// ------------------------------------------------------ in-process journaled
+
+std::size_t count_records(const std::string& dir, const std::string& kind) {
+  std::size_t n = 0;
+  for (const auto& rec : resilience::JournalFile::load(LeaseTable::journal_path(dir)).records) {
+    n += rec.kind == kind ? 1 : 0;
+  }
+  return n;
+}
+
+void expect_same_rows(const sim::SweepResult& a, const sim::SweepResult& b) {
+  ASSERT_EQ(a.rows.size(), b.rows.size());
+  for (std::size_t w = 0; w < a.rows.size(); ++w) {
+    EXPECT_EQ(a.rows[w].workload, b.rows[w].workload);
+    EXPECT_EQ(a.rows[w].completed, b.rows[w].completed);
+    ASSERT_EQ(a.rows[w].comparisons.size(), b.rows[w].comparisons.size());
+    for (std::size_t t = 0; t < a.rows[w].comparisons.size(); ++t) {
+      expect_same_comparison(a.rows[w].comparisons[t], b.rows[w].comparisons[t]);
+    }
+  }
+}
+
+/// Journals `row` of `reference` into `dir` through the lease-free append,
+/// the state a sweep killed after that row leaves behind.
+void record_row(const std::string& dir, const sim::SweepSpec& spec,
+                const sim::SweepResult& reference, std::size_t row) {
+  LeaseTable table;
+  ASSERT_TRUE(table.create(dir, spec, "killed-owner")) << table.last_error();
+  const std::size_t n_tech = spec.techniques.size();
+  for (std::size_t t = 0; t < n_tech; ++t) {
+    ASSERT_EQ(table.record(row * n_tech + t, reference.rows[row].comparisons[t]),
+              AppendStatus::kOk);
+  }
+}
+
+const std::vector<sim::Technique> kBoth{sim::Technique::Esteem, sim::Technique::RefrintRPV};
+
+TEST(JournaledSweep, RerunRestoresRowsBitExactlyWithMemoCleared) {
+  const TempDir dir("journaled");
+  const sim::SweepSpec spec = tiny_sweep({"gamess", "gobmk"}, kBoth);
+  resilience::clear_shutdown();
+
+  const JournaledSweep first = run_journaled(dir.str(), spec);
+  ASSERT_TRUE(first.ok()) << first.error;
+  ASSERT_TRUE(first.result.ok());
+  EXPECT_EQ(first.restored, 0u);
+  EXPECT_EQ(first.failed_appends, 0u);
+  EXPECT_EQ(count_records(dir.str(), "cell"), 4u);
+
+  // Drop the memo so restored rows provably come from the cell bytes.
+  sim::RunCache::instance().clear();
+  const JournaledSweep again = run_journaled(dir.str(), spec);
+  ASSERT_TRUE(again.ok()) << again.error;
+  EXPECT_EQ(again.restored, 2u);
+  EXPECT_EQ(sim::RunCache::instance().stats().misses, 0u);
+  expect_same_rows(again.result, first.result);
+  EXPECT_EQ(count_records(dir.str(), "cell"), 4u);  // nothing re-appended
+}
+
+// Defect pin: reusing a journal location for another sweep used to append
+// a second header and poison every later resume. It is now refused whole.
+TEST(JournaledSweep, ReusedDirWithADifferentSweepIsRefused) {
+  const TempDir dir("journaled-reuse");
+  sim::SweepSpec spec = tiny_sweep({"gamess"}, {sim::Technique::RefrintRPV});
+  spec.seed = 1;
+  resilience::clear_shutdown();
+  ASSERT_TRUE(run_journaled(dir.str(), spec).ok());
+  const std::string before = read_file(LeaseTable::journal_path(dir.str()));
+
+  sim::SweepSpec other = spec;
+  other.seed = 2;
+  const JournaledSweep refused = run_journaled(dir.str(), other);
+  EXPECT_FALSE(refused.ok());
+  EXPECT_NE(refused.error.find("different sweep"), std::string::npos) << refused.error;
+
+  // A different workload list is a different row manifest: refused too.
+  const JournaledSweep superset =
+      run_journaled(dir.str(), tiny_sweep({"gamess", "gobmk"}, {sim::Technique::RefrintRPV}));
+  EXPECT_FALSE(superset.ok());
+  EXPECT_NE(superset.error.find("different sweep"), std::string::npos);
+
+  EXPECT_EQ(read_file(LeaseTable::journal_path(dir.str())), before);  // nothing appended
+  EXPECT_TRUE(run_journaled(dir.str(), spec).ok());  // the original still resumes
+}
+
+TEST(JournaledSweep, ExecutionPolicyChangeRestoresEverything) {
+  const TempDir dir("journaled-policy");
+  sim::SweepSpec spec = tiny_sweep({"gamess", "gobmk"}, kBoth);
+  resilience::clear_shutdown();
+  ASSERT_TRUE(run_journaled(dir.str(), spec).ok());
+
+  spec.config.resilience.max_retries = 5;
+  sim::RunCache::instance().clear();
+  const JournaledSweep again = run_journaled(dir.str(), spec);
+  ASSERT_TRUE(again.ok()) << again.error;
+  EXPECT_EQ(again.restored, 2u);
+  EXPECT_EQ(sim::RunCache::instance().stats().misses, 0u);
+  EXPECT_TRUE(again.result.ok());
+}
+
+TEST(JournaledSweep, PartialDirRerunCsvIsByteIdentical) {
+  const TempDir dir("journaled-partial");
+  const sim::SweepSpec spec = tiny_sweep({"gamess", "gobmk", "libquantum"}, kBoth);
+  resilience::clear_shutdown();
+  const sim::SweepResult reference = sim::run_sweep(spec);
+  ASSERT_TRUE(reference.ok());
+  record_row(dir.str(), spec, reference, 0);
+
+  sim::RunCache::instance().clear();
+  const JournaledSweep rerun = run_journaled(dir.str(), spec);
+  ASSERT_TRUE(rerun.ok()) << rerun.error;
+  EXPECT_EQ(rerun.restored, 1u);
+  expect_same_rows(rerun.result, reference);
+
+  const std::string ref_csv = (dir.path / "reference.csv").string();
+  const std::string rerun_csv = (dir.path / "rerun.csv").string();
+  sim::write_csv(reference, ref_csv);
+  sim::write_csv(rerun.result, rerun_csv);
+  EXPECT_EQ(read_file(ref_csv), read_file(rerun_csv));
+}
+
+TEST(JournaledSweep, ShutdownRequestDrainsWithNothingJournaled) {
+  const TempDir dir("journaled-shutdown");
+  const sim::SweepSpec spec = tiny_sweep({"gamess", "gobmk"}, kBoth);
+
+  resilience::request_shutdown();
+  const JournaledSweep run = run_journaled(dir.str(), spec);
+  resilience::clear_shutdown();
+
+  ASSERT_TRUE(run.ok()) << run.error;
+  EXPECT_TRUE(run.result.interrupted);
+  EXPECT_TRUE(run.result.errors.empty());  // skipped, not failed
+  for (const sim::WorkloadRow& row : run.result.rows) {
+    EXPECT_TRUE(row.skipped);
+    EXPECT_FALSE(row.completed);
+  }
+  EXPECT_EQ(count_records(dir.str(), "svc"), 1u);
+  EXPECT_EQ(count_records(dir.str(), "cell"), 0u);
+}
+
+TEST(JournaledSweep, TornTailLineIsSkippedAndCounted) {
+  const TempDir dir("journaled-torn");
+  const sim::SweepSpec spec = tiny_sweep({"gamess"}, kBoth);
+  resilience::clear_shutdown();
+  ASSERT_TRUE(run_journaled(dir.str(), spec).ok());
+  {
+    std::ofstream tail(LeaseTable::journal_path(dir.str()), std::ios::app | std::ios::binary);
+    tail << "{\"v\":1,\"kind\":\"cell\",\"row\":\"0\",\"torn-tail";
+  }
+  const JournaledSweep again = run_journaled(dir.str(), spec);
+  ASSERT_TRUE(again.ok()) << again.error;
+  EXPECT_EQ(again.restored, 1u);
+  EXPECT_EQ(again.damaged_lines, 1u);
+}
+
+// Defect pin: a failed append used to vanish silently. It is now counted
+// per row and reported once, and the sweep itself still succeeds.
+TEST(JournaledSweep, FailedAppendIsCountedAndReported) {
+  const TempDir dir("journaled-enospc");
+  const sim::SweepSpec spec = tiny_sweep({"gamess", "gobmk"}, kBoth);
+  resilience::clear_shutdown();
+
+  std::string plan_error;
+  // Hit 0 is the svc header; hit 1 is the first cell of the first clean row.
+  chaos::install_plan(chaos::ScheduleFaultPlan::parse("lease.append.write@1=enospc", plan_error));
+  ::testing::internal::CaptureStderr();
+  const JournaledSweep run = run_journaled(dir.str(), spec);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  chaos::disarm();
+
+  ASSERT_TRUE(run.ok()) << run.error;
+  EXPECT_TRUE(run.result.ok());
+  EXPECT_EQ(run.failed_appends, 1u);
+  EXPECT_NE(err.find("1 completed row(s) not journaled"), std::string::npos) << err;
+  EXPECT_NE(err.find("cell append failed"), std::string::npos) << err;
+
+  // The rerun restores the intact row and recomputes the other.
+  const JournaledSweep again = run_journaled(dir.str(), spec);
+  ASSERT_TRUE(again.ok()) << again.error;
+  EXPECT_EQ(again.restored, 1u);
+  EXPECT_EQ(again.failed_appends, 0u);
+  expect_same_rows(again.result, run.result);
+}
+
+TEST(JournaledSweep, FleetStatusAttributesCellsToTheInProcessOwner) {
+  const TempDir dir("journaled-status");
+  const sim::SweepSpec spec = tiny_sweep({"gamess", "gobmk"}, kBoth);
+  resilience::clear_shutdown();
+  ASSERT_TRUE(run_journaled(dir.str(), spec).ok());
+
+  LeaseTable table;
+  ASSERT_TRUE(table.open(dir.str(), "status")) << table.last_error();
+  const TableState st = table.load_state();
+  ASSERT_TRUE(st.ok) << st.error;
+  const FleetStatus fs = collect_fleet_status(table, st, LeaseTable::wall_ms());
+  EXPECT_EQ(fs.completed, 4u);
+  ASSERT_EQ(fs.workers.size(), 1u);
+  EXPECT_EQ(fs.workers[0].owner, default_owner());
+  EXPECT_EQ(fs.workers[0].rows_done, 4u);
+  EXPECT_EQ(count_records(dir.str(), "lease"), 0u);  // lease-free owner
+  EXPECT_EQ(count_records(dir.str(), "hb"), 0u);
+}
+
+// One protocol: a dir the in-process owner left half done is finished by a
+// service worker, and the coordinator's CSV equals an uninterrupted sweep.
+TEST(ServiceEndToEnd, WorkerFinishesAJournaledDirByteIdentically) {
+  const TempDir dir("journaled-worker");
+  const sim::SweepSpec spec = tiny_sweep({"gamess", "gobmk"}, kBoth);
+  resilience::clear_shutdown();
+  const sim::SweepResult reference = sim::run_sweep(spec);
+  ASSERT_TRUE(reference.ok());
+  record_row(dir.str(), spec, reference, 0);
+
+  const std::string saved_memo = sim::RunCache::instance().disk_dir();
+  WorkerOptions wopts;
+  wopts.dir = dir.str();
+  wopts.owner = "inproc";
+  wopts.quiet = true;
+  const WorkerReport rep = run_worker(wopts);
+  sim::RunCache::instance().set_disk_dir(saved_memo);
+  ASSERT_TRUE(rep.ok()) << rep.error;
+  EXPECT_EQ(rep.rows_completed, 2u);  // only gobmk's two cells were left
+
+  CoordinatorOptions copts;
+  copts.dir = dir.str();
+  copts.csv_path = (dir.path / "service.csv").string();
+  copts.quiet = true;
+  const CollectResult collected = wait_and_collect(copts);
+  ASSERT_TRUE(collected.ok) << collected.error;
+  const std::string direct_csv = (dir.path / "direct.csv").string();
+  sim::write_csv(reference, direct_csv);
+  EXPECT_EQ(read_file(copts.csv_path), read_file(direct_csv));
 }
 
 // --------------------------------------------------------- observability plane

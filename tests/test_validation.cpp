@@ -1,11 +1,15 @@
 // Unit tests for the paper-fidelity validation layer: fidelity statistics
 // (Spearman with ties, sign agreement, tolerance bands), the golden-file
-// round trip, and the scale fingerprint that keys golden entries.
+// round trip, the scale fingerprint that keys golden entries, and the
+// per-figure journal directories behind `esteem_validate --journal-dir`.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <stdexcept>
+#include <utility>
 
+#include "sim/run_cache.hpp"
 #include "validation/fidelity.hpp"
 #include "validation/figures.hpp"
 #include "validation/golden.hpp"
@@ -205,6 +209,44 @@ TEST(Figures, MatrixCoversAllFourFiguresWithDistinctConfigs) {
   // The scaled interval is floored at one retention period, so the 40 us
   // figure floors lower than the 50 us one at smoke scale.
   EXPECT_LE(f5.esteem.interval_cycles, f3.esteem.interval_cycles);
+}
+
+// `esteem_validate --journal-dir`: two seeds journaled into one dir each get
+// a subdir of their own, and a rerun of either resumes from it alone.
+TEST(Figures, JournalDirGivesEachSweepItsOwnResumableSubdir) {
+  namespace fs = std::filesystem;
+  const fs::path root = fs::temp_directory_path() / "esteem-validate-journal";
+  fs::remove_all(root);
+  FigureRunOptions options;
+  options.journal_dir = root.string();
+  const FigureSpec& fig = *find_figure("fig3");
+  ScaleSpec seed1 = smoke_scale();
+  seed1.seed = 1;
+  ScaleSpec seed2 = smoke_scale();
+  seed2.seed = 2;
+
+  const FigureResult first1 = run_figure(fig, seed1, {}, options);
+  const FigureResult first2 = run_figure(fig, seed2, {}, options);
+  ASSERT_TRUE(first1.sweep.ok());
+  ASSERT_TRUE(first2.sweep.ok());
+  EXPECT_NE(first1.esteem_energy_savings(), first2.esteem_energy_savings());
+  std::size_t subdirs = 0;
+  for (const auto& entry : fs::directory_iterator(root)) {
+    subdirs += entry.path().filename().string().rfind("fig3-", 0) == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(subdirs, 2u);
+
+  sim::RunCache::instance().clear();
+  for (const auto& [scale, first] : {std::pair{seed1, &first1}, std::pair{seed2, &first2}}) {
+    ::testing::internal::CaptureStderr();
+    const FigureResult again = run_figure(fig, scale, {}, options);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("fig3: resumed 34 row(s)"), std::string::npos) << err;
+    EXPECT_EQ(again.esteem_energy_savings(), first->esteem_energy_savings());
+    EXPECT_EQ(again.rpv_energy_savings(), first->rpv_energy_savings());
+  }
+  EXPECT_EQ(sim::RunCache::instance().stats().misses, 0u);
+  fs::remove_all(root);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // a forked scenario process, then re-runs recovery in a clean process and
 // checks the pinned invariants:
 //
-//   - a resumed sweep's CSV is byte-identical to an uninterrupted run,
+//   - a rerun sweep's CSV is byte-identical to an uninterrupted run,
 //   - no (workload x technique) row is lost or duplicated,
 //   - the lease-table replay is conflict-free and fully resolved,
 //   - damaged journal lines are counted, never fatal,
@@ -15,12 +15,15 @@
 // `esteem_chaos --replay "<schedule>" --mode <m>` (or --random-replay SEED)
 // command that reproduces it deterministically.
 //
-// Scenarios by point domain: sweep.* / memo.* run a journaled CLI-style
-// sweep; lease.* / sidecar.* run the multi-process service path in BOTH
-// lock modes ([service] lock_mode=append and =lockfile); lock.* points only
-// exist in lockfile mode. The service CSV is compared against the sweep
-// reference CSV on purpose — the coordinator documents byte-equality with
-// run_sweep, so chaos exploration re-checks that contract too.
+// Scenarios (modes): `journaled` runs a CLI-style `--journal DIR` sweep
+// (service::run_journaled, lock_mode=append); `append` and `lockfile` run
+// the multi-process service path under that [service] lock_mode. memo.*
+// points run journaled; lease.* points run in all three modes (the
+// in-process owner and workers share the lease journal); sidecar.* points
+// run in both service modes; lock.* points only exist in lockfile mode.
+// Every recovery CSV is compared against the journaled reference CSV on
+// purpose — the coordinator documents byte-equality with run_sweep, so
+// chaos exploration re-checks that contract too.
 #include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -44,7 +47,6 @@
 #include "sim/report.hpp"
 #include "sim/run_cache.hpp"
 #include "sim/runner.hpp"
-#include "sim/sweep_journal.hpp"
 
 namespace {
 
@@ -57,8 +59,8 @@ namespace fs = std::filesystem;
                "usage: esteem_chaos --list-points\n"
                "       esteem_chaos --explore [--random N] [--rate PCT] "
                "[--root DIR] [--keep]\n"
-               "       esteem_chaos --replay SCHEDULE [--mode append|lockfile] "
-               "[--root DIR] [--keep]\n"
+               "       esteem_chaos --replay SCHEDULE "
+               "[--mode journaled|append|lockfile] [--root DIR] [--keep]\n"
                "       esteem_chaos --random-replay SEED [--rate PCT] "
                "[--root DIR] [--keep]\n"
                "\n"
@@ -69,7 +71,7 @@ namespace fs = std::filesystem;
 
 // ---------------------------------------------------------------------------
 // The shared scenario spec: tiny enough that a full leg is sub-second, big
-// enough that every seam point is on the path (journal rows, memo stores,
+// enough that every seam point is on the path (journal cells, memo stores,
 // leases, heartbeats, sidecar snapshots).
 
 SystemConfig tiny_config() {
@@ -119,62 +121,47 @@ std::string read_file(const std::string& path) {
 
 constexpr unsigned kLegTimeoutSec = 120;
 
-/// Sweep chaos leg: journaled sweep with faults armed. Failures here are
-/// expected and fine — recovery is what gets judged.
-void sweep_chaos_leg(const std::string& dir, const std::string& memo_dir) {
+/// Journaled chaos leg: an in-process `--journal DIR` sweep with faults
+/// armed. Failures here are expected and fine — recovery is what gets
+/// judged.
+void journaled_chaos_leg(const std::string& dir, const std::string& memo_dir) {
   sim::RunCache::instance().set_disk_dir(memo_dir);
-  sim::SweepSpec spec = base_spec("append");
-  sim::SweepJournal journal;
-  if (journal.open((fs::path(dir) / "sweep.journal").string(), spec)) {
-    spec.journal = &journal;
-    sim::run_sweep(spec);
-    journal.close();
-  }
+  service::run_journaled((fs::path(dir) / "journal").string(), base_spec("append"));
 }
 
-/// Sweep recovery leg: no faults; resume from whatever the chaos leg left
-/// behind and demand a complete, journaled result. Exit codes name the
-/// broken invariant for the parent's failure message.
-int sweep_recover_leg(const std::string& dir, const std::string& memo_dir,
-                      const std::string& csv_out) {
+/// Journaled recovery leg: no faults; rerun over whatever the chaos leg
+/// left behind and demand a complete, fully journaled result. Exit codes
+/// name the broken invariant for the parent's failure message.
+int journaled_recover_leg(const std::string& dir, const std::string& memo_dir,
+                          const std::string& csv_out) {
   sim::RunCache::instance().set_disk_dir(memo_dir);
-  sim::SweepSpec spec = base_spec("append");
-  const std::string journal_path = (fs::path(dir) / "sweep.journal").string();
-
-  sim::ResumeLoad resume;
-  if (fs::exists(journal_path)) {
-    resume = sim::load_resume_state(journal_path, spec);
-    // A journal with no intact header (chaos died before the first append)
-    // is not resumable; starting fresh over the same file must still work.
-    if (!resume.ok) {
-      std::fprintf(stderr, "resume unavailable (%s); running full sweep\n",
-                   resume.error.c_str());
-    }
-  }
-  sim::SweepJournal journal;
-  if (!journal.open(journal_path, spec)) {
-    std::fprintf(stderr, "cannot reopen journal: %s\n", journal_path.c_str());
+  const sim::SweepSpec spec = base_spec("append");
+  const std::string journal = (fs::path(dir) / "journal").string();
+  const service::JournaledSweep run = service::run_journaled(journal, spec);
+  if (!run.ok()) {
+    std::fprintf(stderr, "cannot reopen journal: %s\n", run.error.c_str());
     return 2;
   }
-  if (resume.ok) spec.resume = &resume.state;
-  spec.journal = &journal;
-  const sim::SweepResult result = sim::run_sweep(spec);
-  journal.close();
-
-  if (!result.ok()) {
-    for (const sim::RunError& e : result.errors) {
+  if (!run.result.ok()) {
+    for (const sim::RunError& e : run.result.errors) {
       std::fprintf(stderr, "run error: %s/%s: %s\n", e.workload.c_str(),
                    e.technique.c_str(), e.what.c_str());
     }
     return 3;
   }
-  if (result.rows.size() != spec.workloads.size()) return 4;
-  for (const sim::WorkloadRow& row : result.rows) {
+  for (const sim::WorkloadRow& row : run.result.rows) {
     if (!row.completed || row.comparisons.size() != spec.techniques.size()) {
       return 4;  // lost or incomplete (workload x technique) row
     }
   }
-  sim::write_csv(result, csv_out);
+  service::LeaseTable table;
+  const service::TableState state =
+      table.open(journal, "chaos-check") ? table.load_state() : service::TableState{};
+  if (!state.ok || state.conflict || state.completed != table.n_rows()) {
+    std::fprintf(stderr, "journal not fully resolved: %s\n", state.error.c_str());
+    return 4;
+  }
+  sim::write_csv(run.result, csv_out);
   return 0;
 }
 
@@ -303,16 +290,16 @@ struct Leg {
   std::string schedule;       ///< "" = random plan.
   std::uint64_t seed = 0;     ///< Random legs only.
   unsigned rate = 3;          ///< Random injection probability (percent).
-  bool sweep_scenario = true;
-  std::string lock_mode = "append";  ///< Service scenario only.
+  std::string mode = "journaled";  ///< journaled | append | lockfile.
   bool is_crash = false;      ///< Schedule contains a crash action.
   bool require_fire = false;  ///< One-fault legs must reach their point.
 
+  bool journaled() const { return mode == "journaled"; }
   std::string label() const {
     std::string s = schedule.empty()
                         ? "random seed " + std::to_string(seed)
                         : schedule;
-    s += sweep_scenario ? " [sweep]" : " [service/" + lock_mode + "]";
+    s += journaled() ? " [journaled]" : " [service/" + mode + "]";
     return s;
   }
   std::string replay_command() const {
@@ -320,9 +307,7 @@ struct Leg {
       return "esteem_chaos --random-replay " + std::to_string(seed) +
              " --rate " + std::to_string(rate);
     }
-    std::string cmd = "esteem_chaos --replay \"" + schedule + "\"";
-    if (!sweep_scenario) cmd += " --mode " + lock_mode;
-    return cmd;
+    return "esteem_chaos --replay \"" + schedule + "\" --mode " + mode;
   }
 };
 
@@ -338,12 +323,12 @@ std::vector<std::string> actions_for(chaos::OpKind kind) {
   return {};
 }
 
-bool point_is_sweep_scenario(const std::string& point) {
-  return point.rfind("sweep.", 0) == 0 || point.rfind("memo.", 0) == 0;
-}
-
-bool point_is_lock(const std::string& point) {
-  return point.rfind("lock.", 0) == 0;
+/// The scenarios a point's faults must recover under (see file comment).
+std::vector<std::string> modes_for(const std::string& point) {
+  if (point.rfind("memo.", 0) == 0) return {"journaled"};
+  if (point.rfind("lock.", 0) == 0) return {"lockfile"};
+  if (point.rfind("lease.", 0) == 0) return {"journaled", "append", "lockfile"};
+  return {"append", "lockfile"};
 }
 
 /// The full one-fault-per-point plan plus `n_random` seeded multi-fault
@@ -352,35 +337,22 @@ std::vector<Leg> build_plan(unsigned n_random, unsigned rate) {
   std::vector<Leg> legs;
   for (const chaos::PointInfo& point : chaos::injection_points()) {
     for (const std::string& action : actions_for(point.kind)) {
-      Leg leg;
-      leg.schedule = std::string(point.name) + "@0=" + action;
-      leg.is_crash = point.kind == chaos::OpKind::kCrash;
-      leg.require_fire = true;
-      if (point_is_sweep_scenario(point.name)) {
+      for (const std::string& mode : modes_for(point.name)) {
+        Leg leg;
+        leg.schedule = std::string(point.name) + "@0=" + action;
+        leg.mode = mode;
+        leg.is_crash = point.kind == chaos::OpKind::kCrash;
+        leg.require_fire = true;
         legs.push_back(leg);
-        continue;
       }
-      leg.sweep_scenario = false;
-      if (point_is_lock(point.name)) {
-        leg.lock_mode = "lockfile";  // lock.* points exist only here
-        legs.push_back(leg);
-        continue;
-      }
-      // lease.* / sidecar.* faults must recover under both serializations.
-      leg.lock_mode = "append";
-      legs.push_back(leg);
-      leg.lock_mode = "lockfile";
-      legs.push_back(leg);
     }
   }
   for (unsigned i = 1; i <= n_random; ++i) {
     Leg leg;
     leg.seed = i;
     leg.rate = rate;
-    leg.sweep_scenario = true;
     legs.push_back(leg);
-    leg.sweep_scenario = false;
-    leg.lock_mode = (i % 2 == 0) ? "lockfile" : "append";
+    leg.mode = (i % 2 == 0) ? "lockfile" : "append";
     legs.push_back(leg);
   }
   return legs;
@@ -423,10 +395,10 @@ std::optional<std::string> run_leg(const Leg& leg, const std::string& dir,
   const ChildResult chaos_leg =
       run_child((fs::path(dir) / "chaos.log").string(), [&]() {
         install_leg_plan(leg);
-        if (leg.sweep_scenario) {
-          sweep_chaos_leg(dir, memo_dir);
+        if (leg.journaled()) {
+          journaled_chaos_leg(dir, memo_dir);
         } else {
-          service_chaos_leg(dir, leg.lock_mode);
+          service_chaos_leg(dir, leg.mode);
         }
         std::ofstream(fired_path) << chaos::injection_count();
         return 0;
@@ -459,9 +431,9 @@ std::optional<std::string> run_leg(const Leg& leg, const std::string& dir,
   const std::string csv_out = (fs::path(dir) / "out.csv").string();
   const ChildResult recover =
       run_child((fs::path(dir) / "recover.log").string(), [&]() {
-        return leg.sweep_scenario
-                   ? sweep_recover_leg(dir, memo_dir, csv_out)
-                   : service_recover_leg(dir, leg.lock_mode, csv_out);
+        return leg.journaled()
+                   ? journaled_recover_leg(dir, memo_dir, csv_out)
+                   : service_recover_leg(dir, leg.mode, csv_out);
       });
   if (!recover.exited) {
     return "recovery leg died by signal " + std::to_string(recover.signal) +
@@ -506,9 +478,9 @@ int list_points() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string mode;
+  std::string command;
   std::string schedule;
-  std::string lock_mode;
+  std::string mode;
   std::string root;
   std::uint64_t seed = 0;
   unsigned n_random = 0;
@@ -521,28 +493,28 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
       return argv[++i];
     };
-    if (arg == "--list-points") mode = "list";
-    else if (arg == "--explore") mode = "explore";
-    else if (arg == "--replay") { mode = "replay"; schedule = value(); }
+    if (arg == "--list-points") command = "list";
+    else if (arg == "--explore") command = "explore";
+    else if (arg == "--replay") { command = "replay"; schedule = value(); }
     else if (arg == "--random-replay") {
-      mode = "random-replay";
+      command = "random-replay";
       seed = std::strtoull(value().c_str(), nullptr, 10);
     } else if (arg == "--random") {
       n_random = static_cast<unsigned>(std::strtoul(value().c_str(), nullptr, 10));
     } else if (arg == "--rate") {
       rate = static_cast<unsigned>(std::strtoul(value().c_str(), nullptr, 10));
     } else if (arg == "--mode") {
-      lock_mode = value();
-      if (lock_mode != "append" && lock_mode != "lockfile") {
-        usage("--mode must be append or lockfile");
+      mode = value();
+      if (mode != "journaled" && mode != "append" && mode != "lockfile") {
+        usage("--mode must be journaled, append or lockfile");
       }
     } else if (arg == "--root") root = value();
     else if (arg == "--keep") keep = true;
     else if (arg == "--help" || arg == "-h") usage();
     else usage(("unknown argument " + arg).c_str());
   }
-  if (mode.empty()) usage("pick one of --list-points/--explore/--replay/--random-replay");
-  if (mode == "list") return list_points();
+  if (command.empty()) usage("pick one of --list-points/--explore/--replay/--random-replay");
+  if (command == "list") return list_points();
 
   if (root.empty()) {
     root = (fs::temp_directory_path() /
@@ -552,29 +524,23 @@ int main(int argc, char** argv) {
   fs::create_directories(root);
 
   std::vector<Leg> legs;
-  if (mode == "explore") {
+  if (command == "explore") {
     legs = build_plan(n_random, rate);
-  } else if (mode == "replay") {
+  } else if (command == "replay") {
     Leg leg;
     leg.schedule = schedule;
     leg.is_crash = schedule.find("=crash") != std::string::npos;
     leg.require_fire = true;
-    const std::string first_point = schedule.substr(0, schedule.find_first_of("@="));
-    leg.sweep_scenario = point_is_sweep_scenario(first_point);
-    if (!leg.sweep_scenario) {
-      leg.lock_mode = lock_mode.empty()
-                          ? (point_is_lock(first_point) ? "lockfile" : "append")
-                          : lock_mode;
-    }
+    leg.mode = !mode.empty()
+                   ? mode
+                   : modes_for(schedule.substr(0, schedule.find_first_of("@="))).front();
     legs.push_back(leg);
   } else {  // random-replay
     Leg leg;
     leg.seed = seed;
     leg.rate = rate;
-    leg.sweep_scenario = true;
     legs.push_back(leg);
-    leg.sweep_scenario = false;
-    leg.lock_mode = (seed % 2 == 0) ? "lockfile" : "append";
+    leg.mode = (seed % 2 == 0) ? "lockfile" : "append";
     legs.push_back(leg);
   }
 
@@ -588,7 +554,7 @@ int main(int argc, char** argv) {
     fs::create_directories(ref_dir);
     const ChildResult ref =
         run_child((fs::path(ref_dir) / "ref.log").string(), [&]() {
-          return sweep_recover_leg(ref_dir, shared_memo, ref_csv_path);
+          return journaled_recover_leg(ref_dir, shared_memo, ref_csv_path);
         });
     if (!ref.exited || ref.exit_code != 0) {
       std::fprintf(stderr,

@@ -23,11 +23,10 @@
 //   --perturb-refresh-energy X      scale eDRAM refresh energy by X before
 //                       running — a deliberate-drift hook for testing that
 //                       the gate actually fails when the model moves
-//   --journal-dir DIR   crash-safe journaling: each figure appends its
-//                       completed rows to DIR/<figid>.journal as it runs
-//   --resume            restore rows from existing journals in
-//                       --journal-dir before running (incompatible journals
-//                       are ignored with a warning)
+//   --journal-dir DIR   crash-safe journaling: each figure journals its
+//                       completed rows into the service directory
+//                       DIR/<figid>-<sweep hash>/ as it runs; rerunning the
+//                       same command restores them instead of re-running
 //
 // SIGINT/SIGTERM drain the figure matrix gracefully: completed rows stay
 // journaled and the process exits with code 5 instead of scoring partial
@@ -68,7 +67,6 @@ struct Options {
   std::vector<std::string> figure_ids{"fig3", "fig4", "fig5", "fig6"};
   double perturb_refresh = 1.0;
   std::string journal_dir;
-  bool resume = false;
   // Scale overrides (<0 = keep the scale's own value).
   long long instr = -1;
   long long warmup = -1;
@@ -83,7 +81,7 @@ void usage(std::FILE* to) {
                "                       [--instr N] [--warmup N] [--seed N] [--jobs N]\n"
                "                       [--figures fig3,fig4,...]\n"
                "                       [--perturb-refresh-energy X]\n"
-               "                       [--journal-dir DIR] [--resume]\n");
+               "                       [--journal-dir DIR]\n");
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -140,8 +138,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (a == "--journal-dir") {
       if (!need_value(i)) return false;
       opt.journal_dir = argv[++i];
-    } else if (a == "--resume") {
-      opt.resume = true;
     } else if (a == "--perturb-refresh-energy") {
       if (!need_value(i)) return false;
       opt.perturb_refresh = std::atof(argv[++i]);
@@ -196,7 +192,6 @@ std::vector<FigureResult> run_matrix(const Options& opt, const ScaleSpec& scale,
   }
   FigureRunOptions run_opts;
   run_opts.journal_dir = opt.journal_dir;
-  run_opts.resume = opt.resume;
   std::vector<FigureResult> results;
   interrupted = false;
   for (const std::string& id : opt.figure_ids) {
@@ -228,7 +223,7 @@ int do_check(const Options& opt, const ScaleSpec& scale) {
   const std::vector<FigureResult> results = run_matrix(opt, scale, interrupted);
   if (interrupted) {
     std::fprintf(stderr, "validation interrupted; not scoring partial data "
-                         "(re-run with --resume to continue)\n");
+                         "(with --journal-dir, rerun the same command to continue)\n");
     return resilience::kExitInterrupted;
   }
   const bool paper_checks = scale.label == "bench" || scale.label == "paper";
