@@ -11,6 +11,7 @@
 
 #include "common/types.hpp"
 #include "cpu/memory_system.hpp"
+#include "cpu/ref_prefetcher.hpp"
 #include "trace/access.hpp"
 
 namespace esteem::cpu {
@@ -25,11 +26,20 @@ class Core {
   /// Executes the next (gap, memory-op) batch; advances the local clock.
   void step(MemorySystem& mem);
 
+  /// From now on the generator runs on a producer thread ahead of this core
+  /// (RefPrefetcher); the references consumed are exactly the same. The
+  /// producer is joined when the core is destroyed. Idempotent. When the
+  /// host refuses a thread the core stays inline (prefetching() is false).
+  void start_prefetch();
+  bool prefetching() const noexcept { return prefetch_ != nullptr; }
+
   /// Sampling fast-forward: advances the generator past `n` instructions
   /// analytically (no memory accesses reach the hierarchy) and moves the
   /// local clock at `cpi` cycles per instruction — the executor's running
   /// CPI estimate, so interval-based machinery downstream of the clock
   /// (refresh epochs, ESTEEM intervals) stays aligned with real time.
+  /// Throws std::logic_error once prefetching started: the generator is
+  /// then ahead of the consumed position.
   void skip(instr_t n, double cpi);
 
   /// Sampling functional warming: executes the next batch against the
@@ -55,8 +65,19 @@ class Core {
  private:
   void advance_clock(instr_t n, double cpi);
 
+  trace::MemRef next_ref() {
+    if (cur_ != end_) return *cur_++;
+    return prefetch_ ? next_chunk() : generator_->next();
+  }
+  trace::MemRef next_chunk();
+
   std::uint32_t id_;
   std::unique_ptr<trace::AccessGenerator> generator_;
+  /// Declared after generator_ so the producer is joined before the
+  /// generator it runs is destroyed.
+  std::unique_ptr<RefPrefetcher> prefetch_;
+  const trace::MemRef* cur_ = nullptr;  ///< Unconsumed part of the held chunk.
+  const trace::MemRef* end_ = nullptr;
   block_t block_offset_;
   cycle_t cycles_ = 0;
   instr_t instret_ = 0;

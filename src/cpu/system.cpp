@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <thread>
 
 #include "common/rng.hpp"
 #include "trace/file_trace.hpp"
@@ -18,11 +19,13 @@ System::System(const SystemConfig& cfg, Technique technique,
   const trace::GeneratorContext ctx{cfg.l2.geom.sets(), cfg.l2.geom.line_bytes};
   std::uint64_t seed_state = seed;
   cores_.reserve(cfg.ncores);
+  replays_trace_.reserve(cfg.ncores);
   for (std::uint32_t c = 0; c < cfg.ncores; ++c) {
     // "trace:<path>" replays an external trace file; anything else is a
     // Table 1 benchmark name or acronym.
     std::unique_ptr<trace::AccessGenerator> gen;
-    if (benchmarks[c].rfind("trace:", 0) == 0) {
+    replays_trace_.push_back(benchmarks[c].rfind("trace:", 0) == 0);
+    if (replays_trace_.back()) {
       gen = std::make_unique<trace::FileTraceGenerator>(benchmarks[c].substr(6));
       (void)splitmix64(seed_state);  // keep per-core seed stream aligned
     } else {
@@ -36,6 +39,11 @@ System::System(const SystemConfig& cfg, Technique technique,
 
 RawRunResult System::run(const RunOptions& options) {
   const cycle_t interval = cfg_.esteem.interval_cycles;
+  if (std::thread::hardware_concurrency() > 1) {
+    for (std::size_t c = 0; c < cores_.size(); ++c) {
+      if (!replays_trace_[c]) cores_[c].start_prefetch();
+    }
+  }
 
   // Warm-up: fill the caches at full associativity, then zero all counters
   // (the paper fast-forwards before measuring, §6.4).

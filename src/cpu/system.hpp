@@ -63,6 +63,13 @@ class System {
   System(const SystemConfig& cfg, Technique technique,
          const std::vector<std::string>& benchmarks, std::uint64_t seed);
 
+  /// Runs every core exhaustively to its target. On a host with more than
+  /// one hardware thread, each core that runs a synthetic generator first
+  /// starts generating on a producer thread (Core::start_prefetch); a
+  /// "trace:" replay stays inline, since its stream is already in memory
+  /// (DESIGN.md §7). Sampled runs drive the cores themselves
+  /// (sampling::run_sampled) and never prefetch: their analytic skips need
+  /// the generator at the consumed position.
   RawRunResult run(const RunOptions& options);
 
   MemorySystem& memory() noexcept { return mem_; }
@@ -73,6 +80,7 @@ class System {
   SystemConfig cfg_;
   MemorySystem mem_;
   std::vector<Core> cores_;
+  std::vector<bool> replays_trace_;  ///< Per core: a "trace:" file replay.
 };
 
 }  // namespace esteem::cpu

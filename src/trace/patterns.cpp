@@ -6,6 +6,21 @@
 
 namespace esteem::trace {
 
+namespace {
+/// References per internal batch: the stack scratch of the fill loops that
+/// split a request (reuse decisions, mixer blocks).
+constexpr std::size_t kFillBatch = 256;
+
+/// Index picked by the uniform draw `u` from sorted cumulative weights: the
+/// count of weights at or below `u`, which is where upper_bound lands. The
+/// last weight is 1.0 > u, so it is never counted.
+std::size_t pick_index(const std::vector<double>& cumulative, double u) noexcept {
+  std::size_t idx = 0;
+  for (std::size_t i = 0; i + 1 < cumulative.size(); ++i) idx += cumulative[i] <= u;
+  return idx;
+}
+}  // namespace
+
 StreamingPattern::StreamingPattern(block_t base, std::uint64_t region_blocks,
                                    std::uint64_t stride)
     : base_(base), region_(std::max<std::uint64_t>(1, region_blocks)), stride_(stride) {
@@ -67,10 +82,7 @@ NestedWorkingSetPattern::NestedWorkingSetPattern(block_t base, std::uint64_t ws_
 }
 
 block_t NestedWorkingSetPattern::next_block() {
-  const double u = rng_.uniform();
-  const auto it = std::upper_bound(cumulative_.begin(), cumulative_.end(), u);
-  const std::size_t lvl = std::min<std::size_t>(
-      static_cast<std::size_t>(it - cumulative_.begin()), level_size_.size() - 1);
+  const std::size_t lvl = pick_index(cumulative_, rng_.uniform());
   return base_ + rng_.below(level_size_[lvl]);
 }
 
@@ -131,18 +143,10 @@ MultiScanPattern::MultiScanPattern(block_t base, std::vector<std::uint32_t> dept
 
 block_t MultiScanPattern::next_block() {
   // Walk row-major over a footprint of `depth` lines per set across the
-  // first `span_` sets: block layout keeps the set index = pos % span_ while
+  // first `span_` sets: block layout keeps the set index = col_ while
   // distinct rows land in distinct cache lines of the same set.
-  const std::uint64_t region = static_cast<std::uint64_t>(depths_[depth_idx_]) * span_;
-  const block_t b =
-      base_ + (pos_ / span_) * total_sets_ + (pos_ % span_);
-  if (++pos_ >= region) {
-    pos_ = 0;
-    if (++sweep_ >= sweeps_per_depth_) {
-      sweep_ = 0;
-      depth_idx_ = (depth_idx_ + 1) % depths_.size();
-    }
-  }
+  const block_t b = base_ + row_ * total_sets_ + col_;
+  if (++col_ == span_) end_row();
   return b;
 }
 
@@ -152,20 +156,23 @@ void MultiScanPattern::skip(std::uint64_t n) {
     full += static_cast<std::uint64_t>(d) * span_ * sweeps_per_depth_;
   }
   n %= full;
+  std::uint64_t pos = row_ * span_ + col_;
   while (n > 0) {
     const std::uint64_t region = static_cast<std::uint64_t>(depths_[depth_idx_]) * span_;
-    const std::uint64_t left = region * (sweeps_per_depth_ - sweep_) - pos_;
+    const std::uint64_t left = region * (sweeps_per_depth_ - sweep_) - pos;
     if (n < left) {
-      const std::uint64_t adv = pos_ + n;
+      const std::uint64_t adv = pos + n;
       sweep_ += adv / region;
-      pos_ = adv % region;
-      return;
+      pos = adv % region;
+      break;
     }
     n -= left;
-    pos_ = 0;
+    pos = 0;
     sweep_ = 0;
     depth_idx_ = (depth_idx_ + 1) % depths_.size();
   }
+  row_ = pos / span_;
+  col_ = static_cast<std::uint32_t>(pos % span_);
 }
 
 MixturePattern::MixturePattern(std::vector<std::unique_ptr<BlockPattern>> children,
@@ -190,12 +197,7 @@ MixturePattern::MixturePattern(std::vector<std::unique_ptr<BlockPattern>> childr
 }
 
 block_t MixturePattern::next_block() {
-  const double u = rng_.uniform();
-  const auto it = std::upper_bound(cumulative_.begin(), cumulative_.end(), u);
-  const std::size_t idx =
-      std::min<std::size_t>(static_cast<std::size_t>(it - cumulative_.begin()),
-                            children_.size() - 1);
-  return children_[idx]->next_block();
+  return children_[pick_index(cumulative_, rng_.uniform())]->next_block();
 }
 
 void MixturePattern::skip(std::uint64_t n) {
@@ -290,6 +292,51 @@ block_t TemporalReusePattern::next_block() {
   return b;
 }
 
+void TemporalReusePattern::fill_blocks(block_t* out, std::size_t n) {
+  constexpr std::uint32_t kFresh = ~std::uint32_t{0};
+  const auto size = static_cast<std::uint32_t>(ring_.size());
+  std::uint32_t back[kFillBatch];
+  block_t fresh[kFillBatch];
+  while (n > 0) {
+    const std::size_t m = std::min(n, kFillBatch);
+    // Pass 1: the same draws next_block() makes, in the same order; only
+    // the fill count (not the ring's contents) steers them.
+    Rng rng = rng_;
+    std::uint32_t filled = filled_;
+    std::size_t pulls = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (filled > 0 && rng.chance(reuse_prob_)) {
+        std::uint32_t span = filled;
+        while (span > 1 && (rng() >> 63) == 0) span = (span + 1) / 2;
+        back[i] = static_cast<std::uint32_t>(rng.below(span));
+      } else {
+        back[i] = kFresh;
+        ++pulls;
+        if (filled < size) ++filled;
+      }
+    }
+    rng_ = rng;
+    child_->fill_blocks(fresh, pulls);
+    // Pass 2: replay the ring.
+    std::uint32_t head = head_;
+    const block_t* next_fresh = fresh;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (back[i] == kFresh) {
+        out[i] = ring_[head] = *next_fresh++;
+        if (++head == size) head = 0;
+      } else {
+        std::uint32_t idx = head + size - 1 - back[i];
+        if (idx >= size) idx -= size;
+        out[i] = ring_[idx];
+      }
+    }
+    head_ = head;
+    filled_ = filled;
+    out += m;
+    n -= m;
+  }
+}
+
 void TemporalReusePattern::skip(std::uint64_t n) {
   const double due = static_cast<double>(n) * (1.0 - reuse_prob_) + skip_carry_;
   const auto fresh = static_cast<std::uint64_t>(due);
@@ -352,6 +399,24 @@ MemRef InstructionMixer::next() {
   ref.is_store = rng_.chance(store_ratio_);
   if (mem_ratio_ < 1.0) ref.gap = gap_of(rng_() >> 11);
   return ref;
+}
+
+void InstructionMixer::fill(MemRef* out, std::size_t n) {
+  block_t blocks[kFillBatch];
+  const bool gaps = mem_ratio_ < 1.0;
+  while (n > 0) {
+    const std::size_t m = std::min(n, kFillBatch);
+    pattern_->fill_blocks(blocks, m);
+    Rng rng = rng_;
+    for (std::size_t i = 0; i < m; ++i) {
+      out[i].block = blocks[i];
+      out[i].is_store = rng.chance(store_ratio_);
+      out[i].gap = gaps ? gap_of(rng() >> 11) : 0;
+    }
+    rng_ = rng;
+    out += m;
+    n -= m;
+  }
 }
 
 void InstructionMixer::skip(std::uint64_t n_instr) {

@@ -105,13 +105,29 @@ class MultiScanPattern final : public BlockPattern {
   void skip(std::uint64_t n) override;  ///< Exact: modular walk over depth sweeps.
 
  private:
+  /// Moves past the end of a row: to the next row, and at the last row of
+  /// the depth's region to the next sweep (and every sweeps_per_depth
+  /// sweeps to the next depth).
+  void end_row() noexcept {
+    col_ = 0;
+    if (++row_ >= depths_[depth_idx_]) {
+      row_ = 0;
+      if (++sweep_ >= sweeps_per_depth_) {
+        sweep_ = 0;
+        if (++depth_idx_ == depths_.size()) depth_idx_ = 0;
+      }
+    }
+  }
+
   block_t base_;
   std::vector<std::uint32_t> depths_;
   std::uint32_t total_sets_;
   std::uint32_t span_;
   std::uint64_t sweeps_per_depth_;
   std::size_t depth_idx_ = 0;
-  std::uint64_t pos_ = 0;
+  /// Position in the current sweep, row-major: row_ * span_ + col_.
+  std::uint64_t row_ = 0;
+  std::uint32_t col_ = 0;
   std::uint64_t sweep_ = 0;
 };
 
@@ -162,6 +178,11 @@ class TemporalReusePattern final : public BlockPattern {
   TemporalReusePattern(std::unique_ptr<BlockPattern> child, double reuse_prob,
                        std::uint32_t window, std::uint64_t seed);
   block_t next_block() override;
+  /// Decides every reference of a batch first (fresh pull or the ring
+  /// offset of a reuse; the decisions depend only on this pattern's RNG and
+  /// fill count), pulls the batch's fresh blocks from the child in one
+  /// fill_blocks call, then replays the ring updates.
+  void fill_blocks(block_t* out, std::size_t n) override;
   /// Statistical: the child advances by the expected fresh-pull count
   /// `n * (1 - reuse_prob)` (fractional carry), and the recency ring is
   /// re-warmed with the tail of those pulls so post-skip reuses reference
@@ -194,6 +215,7 @@ class InstructionMixer final : public AccessGenerator {
   InstructionMixer(std::unique_ptr<BlockPattern> pattern, double mem_ratio,
                    double store_ratio, std::uint64_t seed);
   MemRef next() override;
+  void fill(MemRef* out, std::size_t n) override;
   /// Statistical: forwards the expected memory-op count `n_instr * mem_ratio`
   /// (fractional carry) to the block pattern; gap/store draws are iid so the
   /// RNG is untouched.

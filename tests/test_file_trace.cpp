@@ -3,6 +3,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <unistd.h>
 
 #include "cpu/system.hpp"
 #include "trace/file_trace.hpp"
@@ -12,10 +14,18 @@
 namespace esteem::trace {
 namespace {
 
+// Each test writes its own file under the temp directory (test name plus
+// pid), so parallel ctest processes and concurrent build trees never share
+// one.
 class FileTraceTest : public ::testing::Test {
  protected:
   void TearDown() override { std::filesystem::remove(path_); }
-  const std::string path_ = "test_trace_tmp.etr";
+  const std::string path_ =
+      (std::filesystem::temp_directory_path() /
+       ("esteem_file_trace_" +
+        std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+        "_" + std::to_string(::getpid()) + ".etr"))
+          .string();
 };
 
 TEST_F(FileTraceTest, RoundTripsReferences) {

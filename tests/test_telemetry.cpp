@@ -498,6 +498,45 @@ TEST(TelemetryHub, IntervalSeriesMatchesAlgorithmTimeline) {
   std::filesystem::remove_all(dir);
 }
 
+// The cores' producer threads count chunks and waits into the registry only
+// while telemetry is active, and the counters reach the OpenMetrics export.
+TEST(TelemetryHub, PrefetchCountersReachOpenMetrics) {
+  if (std::thread::hardware_concurrency() <= 1) {
+    GTEST_SKIP() << "single hardware thread: cores generate inline";
+  }
+  TelemetryGuard guard;
+  sim::RunSpec spec;
+  spec.config = tiny();
+  spec.technique = sim::Technique::Esteem;
+  spec.workload = wl("gcc");
+  spec.instr_per_core = 300'000;
+
+  Telemetry::instance().configure({});
+  registry().reset();
+  sim::run_experiment(spec);
+  EXPECT_EQ(registry().value("trace.prefetch.chunks"), 0.0);
+
+  TelemetryConfig cfg;
+  cfg.counters = true;
+  Telemetry::instance().configure(cfg);
+  registry().reset();
+  sim::run_experiment(spec);
+  // ~105k references in 4096-reference chunks, plus the ring's read-ahead.
+  const double chunks = registry().value("trace.prefetch.chunks");
+  EXPECT_GE(chunks, 10.0);
+  EXPECT_LE(chunks, 40.0);
+  // The wait counters depend on thread timing; they are registered (and
+  // exported) whether or not either side ever waited.
+
+  const std::string text = to_openmetrics(take_snapshot(registry(), 0, "test"));
+  std::string error;
+  EXPECT_TRUE(check_openmetrics(text, error)) << error;
+  for (const char* family : {"esteem_trace_prefetch_chunks", "esteem_trace_prefetch_consumer_waits",
+                             "esteem_trace_prefetch_producer_waits"}) {
+    EXPECT_NE(text.find(family), std::string::npos) << family;
+  }
+}
+
 // Observer-effect guard: running the same sweep with full telemetry enabled
 // must produce a byte-identical CSV. Telemetry reads simulator state; it
 // never perturbs it.

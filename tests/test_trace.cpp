@@ -4,9 +4,14 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "trace/patterns.hpp"
 #include "trace/spec_profiles.hpp"
 #include "trace/workloads.hpp"
@@ -348,6 +353,180 @@ TEST(Profiles, StreamCanaryPinned) {
       continue;
     }
     EXPECT_EQ(h, it->second) << p.name << ": 0x" << std::hex << std::uppercase << h;
+  }
+}
+
+// Stream equivalence: the batch API (fill / fill_blocks) must produce
+// exactly the next() / next_block() sequence and leave the generator in the
+// same state, whatever the batch sizes and however batches interleave with
+// single pulls and skips. The producer-thread pipeline relies on this.
+
+/// One step of a random schedule applied to both generators: a batch of 1 to
+/// 4096 through the batch API, a run of single pulls, or (rarely) a skip.
+struct Step {
+  enum Kind { Batch, Singles, Skip } kind;
+  std::size_t n;
+};
+
+std::vector<Step> random_schedule(std::uint64_t seed, std::size_t total) {
+  Rng rng(seed);
+  std::vector<Step> out;
+  std::size_t emitted = 0;
+  while (emitted < total) {
+    const std::uint64_t roll = rng.below(10);
+    if (roll < 6) {
+      out.push_back({Step::Batch, 1 + static_cast<std::size_t>(rng.below(4096))});
+    } else if (roll < 9) {
+      out.push_back({Step::Singles, 1 + static_cast<std::size_t>(rng.below(64))});
+    } else {
+      out.push_back({Step::Skip, static_cast<std::size_t>(rng.below(50'000))});
+      continue;
+    }
+    emitted += out.back().n;
+  }
+  return out;
+}
+
+bool same(const MemRef& a, const MemRef& b) {
+  return a.block == b.block && a.gap == b.gap && a.is_store == b.is_store;
+}
+
+/// Drives `batched` through the schedule and `single` through next() only;
+/// returns the number of references compared (0 after the first mismatch).
+std::size_t compare_streams(AccessGenerator& single, AccessGenerator& batched,
+                            const std::vector<Step>& schedule) {
+  std::vector<MemRef> buf;
+  std::size_t compared = 0;
+  for (const Step& step : schedule) {
+    if (step.kind == Step::Skip) {
+      single.skip(step.n);
+      batched.skip(step.n);
+      continue;
+    }
+    buf.assign(step.n, MemRef{});
+    if (step.kind == Step::Batch) {
+      batched.fill(buf.data(), step.n);
+    } else {
+      for (MemRef& r : buf) r = batched.next();
+    }
+    for (std::size_t i = 0; i < step.n; ++i) {
+      const MemRef want = single.next();
+      if (!same(want, buf[i])) {
+        ADD_FAILURE() << "reference " << compared + i << " differs: block " << buf[i].block
+                      << " vs " << want.block << ", gap " << buf[i].gap << " vs "
+                      << want.gap;
+        return 0;
+      }
+    }
+    compared += step.n;
+  }
+  return compared;
+}
+
+TEST(BatchApi, FillMatchesNextForEveryProfile) {
+  std::uint64_t seed = 1;
+  for (const auto& p : all_profiles()) {
+    SCOPED_TRACE(p.name);
+    const std::vector<Step> schedule = random_schedule(++seed, 120'000);
+    auto single = make_generator(p, kCtx, seed);
+    auto batched = make_generator(p, kCtx, seed);
+    EXPECT_GE(compare_streams(*single, *batched, schedule), 120'000u);
+  }
+}
+
+TEST(BatchApi, FillIsExactAcrossPhaseBoundaries) {
+  // Phased profiles switch every 150k references; a long run of full
+  // batches crosses several boundaries mid-batch.
+  for (const auto& p : all_profiles()) {
+    if (p.phases <= 1) continue;
+    SCOPED_TRACE(p.name);
+    auto single = make_generator(p, kCtx, 9);
+    auto batched = make_generator(p, kCtx, 9);
+    const std::vector<Step> schedule(160, Step{Step::Batch, 4093});
+    EXPECT_GE(compare_streams(*single, *batched, schedule), 600'000u);
+  }
+}
+
+/// Every BlockPattern class, built twice from the same arguments.
+std::vector<std::pair<std::string, std::unique_ptr<BlockPattern>>> every_pattern() {
+  std::vector<std::pair<std::string, std::unique_ptr<BlockPattern>>> out;
+  auto mixture = [](std::uint64_t seed) {
+    std::vector<std::unique_ptr<BlockPattern>> kids;
+    kids.push_back(std::make_unique<RandomWorkingSetPattern>(0, 5000, 300, 0.7, seed));
+    kids.push_back(std::make_unique<StreamingPattern>(1 << 20, 70'000, 3));
+    kids.push_back(std::make_unique<PointerChasePattern>(1 << 24, 9000, seed + 1));
+    kids.push_back(std::make_unique<StreamingPattern>(1 << 26, 10));  // weight 0
+    return std::make_unique<MixturePattern>(std::move(kids),
+                                            std::vector<double>{0.5, 0.3, 0.2, 0.0}, seed);
+  };
+  out.emplace_back("streaming", std::make_unique<StreamingPattern>(7, 1000, 3));
+  out.emplace_back("random", std::make_unique<RandomWorkingSetPattern>(0, 4096, 64, 0.8, 3));
+  out.emplace_back("nested",
+                   std::make_unique<NestedWorkingSetPattern>(0, 50'000, 4, 0.3, 2.5, 4));
+  out.emplace_back("chase", std::make_unique<PointerChasePattern>(0, 3000, 5));
+  out.emplace_back("multiscan", std::make_unique<MultiScanPattern>(
+                                    0, std::vector<std::uint32_t>{3, 9, 1}, kCtx, 2, 37));
+  out.emplace_back("mixture", mixture(6));
+  std::vector<std::unique_ptr<BlockPattern>> phases;
+  phases.push_back(mixture(7));
+  phases.push_back(std::make_unique<MultiScanPattern>(0, std::vector<std::uint32_t>{5}, kCtx));
+  out.emplace_back("phased", std::make_unique<PhasedPattern>(std::move(phases), 1000));
+  out.emplace_back("reuse", std::make_unique<TemporalReusePattern>(mixture(8), 0.9, 96, 9));
+  return out;
+}
+
+TEST(BatchApi, FillBlocksMatchesNextBlockForEveryPattern) {
+  auto singles = every_pattern();
+  auto batched = every_pattern();
+  ASSERT_EQ(singles.size(), 8u);
+  for (std::size_t k = 0; k < singles.size(); ++k) {
+    SCOPED_TRACE(singles[k].first);
+    BlockPattern& a = *singles[k].second;
+    BlockPattern& b = *batched[k].second;
+    std::vector<block_t> buf;
+    std::size_t compared = 0;
+    for (const Step& step : random_schedule(100 + k, 200'000)) {
+      if (step.kind == Step::Skip) {
+        a.skip(step.n);
+        b.skip(step.n);
+        continue;
+      }
+      buf.resize(step.n);
+      if (step.kind == Step::Batch) {
+        b.fill_blocks(buf.data(), step.n);
+      } else {
+        for (block_t& x : buf) x = b.next_block();
+      }
+      for (std::size_t i = 0; i < step.n; ++i) {
+        const block_t want = a.next_block();
+        ASSERT_EQ(buf[i], want) << "block " << compared + i;
+      }
+      compared += step.n;
+    }
+    EXPECT_GE(compared, 200'000u);
+  }
+}
+
+TEST(BatchApi, DefaultFillReportsWhereItFailed) {
+  class Failing final : public AccessGenerator {
+   public:
+    MemRef next() override {
+      if (n_ == 5) throw std::runtime_error("boom");
+      return MemRef{n_++, 0, false};
+    }
+
+   private:
+    std::uint64_t n_ = 0;
+  };
+  Failing gen;
+  MemRef out[8];
+  try {
+    gen.fill(out, 8);
+    FAIL() << "fill did not throw";
+  } catch (const FillInterrupted& e) {
+    EXPECT_EQ(e.done, 5u);
+    for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(out[i].block, i);
+    EXPECT_THROW(std::rethrow_exception(e.cause), std::runtime_error);
   }
 }
 

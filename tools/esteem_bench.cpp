@@ -29,7 +29,12 @@
 // divided by wall time), and the memo-cache hit/miss counters observed for
 // that repeat. A trailing "phases" array carries the self-profiling rollup
 // (telemetry::PhaseProfiler): bench.configure, sweep, run.simulate,
-// run.energy, ... with accumulated seconds and instance counts.
+// run.energy, ... with accumulated seconds and instance counts, and a
+// "prefetch" object with the trace.prefetch.* counters of the cores' producer
+// threads (DESIGN.md §7): chunks generated, consumer_waits (a core waited
+// on its generator: generator-bound) and producer_waits (a full ring
+// stalled the generator: hierarchy-bound). The bench turns on counter
+// collection, which has no file outputs and no effect on results.
 //
 // Memo-cache state and counters are process-global; the bench scopes both to
 // this invocation (cache cleared, counters zeroed at entry), so repeated
@@ -37,6 +42,7 @@
 // hit rates.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -120,6 +126,10 @@ int main(int argc, char** argv) {
   // process would make repeat 0 falsely warm and the hit rates wrong.
   sim::RunCache::instance().clear();
   telemetry::profiler().reset();
+  telemetry::TelemetryConfig counters_only;
+  counters_only.counters = true;
+  telemetry::Telemetry::instance().configure(counters_only);
+  telemetry::registry().reset();
   telemetry::ScopedTimer configure_timer(telemetry::profiler(), "bench.configure");
 
   sim::SweepSpec spec;
@@ -271,7 +281,15 @@ int main(int argc, char** argv) {
     json << ",\"simulated_minstr_per_s\":" << buf << ",\"memo_hits\":" << s.memo_hits
          << ",\"memo_misses\":" << s.memo_misses << '}';
   }
-  json << "],\"phases\":" << telemetry::profiler().to_json() << '}';
+  json << "],\"phases\":" << telemetry::profiler().to_json() << ",\"prefetch\":{";
+  const char* sep = "";
+  for (const char* name : {"chunks", "consumer_waits", "producer_waits"}) {
+    json << sep << '"' << name << "\":"
+         << static_cast<std::uint64_t>(
+                telemetry::registry().value(std::string("trace.prefetch.") + name));
+    sep = ",";
+  }
+  json << "}}";
 
   std::printf("%s\n", json.str().c_str());
   if (!json_path.empty()) {
