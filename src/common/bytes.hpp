@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 namespace esteem {
 
@@ -29,6 +30,18 @@ class ByteWriter {
   void str(const std::string& s) {
     u64(s.size());
     buf_.append(s);
+  }
+  /// Writes a config field by its type: bool as u8, uint32_t, uint64_t,
+  /// double (see visit_semantic_fields).
+  template <class T>
+  void field(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) u8(v ? 1 : 0);
+    else if constexpr (std::is_same_v<T, std::uint32_t>) u32(v);
+    else if constexpr (std::is_same_v<T, std::uint64_t>) u64(v);
+    else {
+      static_assert(std::is_same_v<T, double>, "unsupported field type");
+      f64(v);
+    }
   }
   std::string take() { return std::move(buf_); }
 
@@ -73,6 +86,23 @@ class ByteReader {
     s.assign(buf_, pos_, n);
     pos_ += n;
     return true;
+  }
+  /// Inverse of ByteWriter::field; a bool byte other than 0 or 1 fails.
+  template <class T>
+  bool field(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      std::uint8_t b = 0;
+      if (!u8(b) || b > 1) return false;
+      v = b != 0;
+      return true;
+    } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+      return u32(v);
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+      return u64(v);
+    } else {
+      static_assert(std::is_same_v<T, double>, "unsupported field type");
+      return f64(v);
+    }
   }
   bool done() const noexcept { return pos_ == buf_.size(); }
   std::size_t pos() const noexcept { return pos_; }

@@ -291,4 +291,63 @@ struct SystemConfig {
   void validate() const;
 };
 
+/// Calls `f(field)` on every field that decides what a run computes, in the
+/// one fixed order shared by memo fingerprints (sim/run_cache) and the
+/// service wire (service/wire): geometry through [sampling]. The execution
+/// policy sections ([resilience], [service], [observability]) are not
+/// visited. Reordering or adding a field changes on-disk bytes, so it needs
+/// a kMemoFormatVersion and kWireVersion bump. `Cfg` is SystemConfig or
+/// const SystemConfig.
+template <class Cfg, class F>
+void visit_semantic_fields(Cfg& c, F&& f) {
+  f(c.ncores);
+  f(c.freq_ghz);
+  f(c.l1.geom.size_bytes);
+  f(c.l1.geom.ways);
+  f(c.l1.geom.line_bytes);
+  f(c.l1.latency_cycles);
+  f(c.l2.geom.size_bytes);
+  f(c.l2.geom.ways);
+  f(c.l2.geom.line_bytes);
+  f(c.l2.latency_cycles);
+  f(c.l2.banks);
+  f(c.l2.access_occupancy_cycles);
+  f(c.l2.refresh_occupancy_cycles);
+  f(c.l2.queue_pressure);
+  f(c.mem.latency_cycles);
+  f(c.mem.bandwidth_gbps);
+  f(c.edram.retention_us);
+  f(c.edram.rpv_phases);
+  f(c.edram.ecc_correctable);
+  f(c.edram.ecc_target_line_failure);
+  f(c.edram.decay_interval_retentions);
+  f(c.energy.refresh_scale);
+  f(c.energy.dyn_scale);
+  f(c.energy.leak_scale);
+  f(c.esteem.alpha);
+  f(c.esteem.a_min);
+  f(c.esteem.modules);
+  f(c.esteem.interval_cycles);
+  f(c.esteem.sampling_ratio);
+  f(c.esteem.nonlru_guard);
+  f(c.esteem.min_leader_samples);
+  f(c.esteem.history_weight);
+  f(c.esteem.max_way_delta);
+  f(c.esteem.hysteresis_intervals);
+  f(c.esteem.shrink_confirm_intervals);
+  f(c.faults.enabled);
+  f(c.faults.seed);
+  f(c.faults.median_multiple);
+  f(c.faults.sigma);
+  f(c.faults.correction_latency_cycles);
+  f(c.faults.disable_threshold);
+  f(c.faults.max_tracked_extension);
+  f(c.sampling.enabled);
+  f(c.sampling.window_instr);
+  f(c.sampling.detail_warm_instr);
+  f(c.sampling.ff_warm_instr);
+  f(c.sampling.cold_warm_instr);
+  f(c.sampling.period_instr);
+}
+
 }  // namespace esteem

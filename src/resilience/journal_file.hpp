@@ -1,8 +1,9 @@
 // Crash-safe record log: append-only, fsync'd, per-line-checksummed JSONL.
 //
-// Each record is one line of flat JSON whose values are plain strings (the
-// caller hex-encodes anything binary), closed by a CRC-32 of everything
-// before the crc field:
+// Each record is one line of flat JSON whose values are strings (the caller
+// hex-encodes anything binary), closed by a CRC-32 of everything before the
+// crc field. decode() checks the layout and CRC byte by byte, then reads
+// the body with the shared JSON reader (common/json.hpp):
 //
 //   {"v":1,"kind":"row","workload":"mcf","payload":"9a3f...","crc":"8d21c4f0"}
 //
@@ -36,9 +37,9 @@
 namespace esteem::resilience {
 
 /// One journal record: a kind tag plus ordered (key, value) string fields.
-/// Values must not contain '"' or '\\' — the writer does not escape (callers
-/// hex-encode arbitrary data); a value that breaks this renders only its own
-/// line unparseable, which the loader treats as corruption.
+/// The writer JSON-escapes every string, so any bytes round-trip; callers
+/// still hex-encode binary payloads, and the plain values they write ('"',
+/// '\\' and control bytes absent) appear in the line verbatim.
 struct JournalRecord {
   std::string kind;
   std::vector<std::pair<std::string, std::string>> fields;
@@ -53,8 +54,7 @@ struct JournalRecord {
 /// service can decode each other's events: a severity, both clock domains
 /// (wall milliseconds always; simulated microseconds when the event came
 /// from inside a run, else negative), the emitting source, an optional
-/// lease/row context, and a free-form message (hex-encoded on the wire —
-/// journal values may not contain quotes or backslashes).
+/// lease/row context, and a free-form message (hex-encoded on the wire).
 struct EventRecord {
   /// `row` value meaning "no row context".
   static constexpr std::uint64_t kNoRow = ~0ULL;

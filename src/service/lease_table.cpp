@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/bytes.hpp"
+#include "common/json.hpp"
 #include "resilience/lock_file.hpp"
 #include "service/wire.hpp"
 #include "sim/run_cache.hpp"
@@ -22,25 +23,10 @@ void tick(const char* name, std::uint64_t n = 1) {
 
 std::string dec(std::uint64_t v) { return std::to_string(v); }
 
-bool parse_dec_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty() || s.size() > 20) return false;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = v;
-  return true;
-}
-
-/// Journal field values may not contain '"' or '\' (resilience contract);
-/// owner strings come from hostnames/CLI flags, so scrub rather than trust.
+/// Owners come from hostnames and CLI flags and also land in lock files and
+/// status output, so they are scrubbed rather than trusted.
 std::string sanitize_owner(const std::string& owner) {
-  std::string out = owner.empty() ? std::string("anon") : owner;
-  for (char& c : out) {
-    if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) c = '_';
-  }
-  return out;
+  return owner.empty() ? std::string("anon") : scrub(owner);
 }
 
 /// FNV-1a over a byte string, continuing from `h`.
@@ -235,13 +221,13 @@ TableState LeaseTable::load_state() const {
     }
 
     std::uint64_t row = 0;
-    if (!parse_dec_u64(rec.field("row"), row) || row >= st.rows.size()) continue;
+    if (!to_u64(rec.field("row"), row) || row >= st.rows.size()) continue;
     RowState& r = st.rows[row];
 
     if (rec.kind == "lease") {
       std::uint64_t id = 0, gen = 0, ttl = 0, t = 0;
-      if (!parse_hex_u64(rec.field("id"), id) || !parse_dec_u64(rec.field("gen"), gen) ||
-          !parse_dec_u64(rec.field("ttl"), ttl) || !parse_dec_u64(rec.field("t"), t)) {
+      if (!parse_hex_u64(rec.field("id"), id) || !to_u64(rec.field("gen"), gen) ||
+          !to_u64(rec.field("ttl"), ttl) || !to_u64(rec.field("t"), t)) {
         continue;
       }
       r.lease_id = id;
@@ -251,7 +237,7 @@ TableState LeaseTable::load_state() const {
       r.lease_expires_ms = static_cast<std::int64_t>(t + ttl);
     } else if (rec.kind == "hb") {
       std::uint64_t id = 0, t = 0;
-      if (!parse_hex_u64(rec.field("id"), id) || !parse_dec_u64(rec.field("t"), t)) continue;
+      if (!parse_hex_u64(rec.field("id"), id) || !to_u64(rec.field("t"), t)) continue;
       // A heartbeat from a superseded lease must not resurrect it.
       if (id == r.lease_id && r.lease_id != 0) {
         r.lease_expires_ms = static_cast<std::int64_t>(t) + r.lease_ttl_ms;

@@ -2,118 +2,67 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "common/json.hpp"
 
 namespace esteem::telemetry {
 
 namespace {
 
-/// The line formats carry values raw (no escape handling), so bytes that
-/// would break a line are scrubbed, mirroring the journal-field contract.
-std::string scrub(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) c = '_';
+using json::Value;
+using Kind = Value::Kind;
+
+/// True when `v` is an object whose member names are exactly `keys`, in
+/// order: the codec is strict, so an extra, missing or moved field fails.
+bool has_keys(const Value& v, std::initializer_list<std::string_view> keys) {
+  if (!v.is(Kind::Object) || v.members.size() != keys.size()) return false;
+  auto it = keys.begin();
+  for (const auto& [name, value] : v.members) {
+    if (name != *it++) return false;
   }
-  return out;
+  return true;
 }
 
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+bool as_u64(const Value& v, std::uint64_t& out) {
+  return v.is(Kind::Number) && to_u64(v.text, out);
 }
 
-/// Strict cursor over one encoded line.
-struct Scan {
-  const std::string& s;
-  std::size_t pos = 0;
-
-  bool lit(const char* l) {
-    const std::size_t n = std::char_traits<char>::length(l);
-    if (s.compare(pos, n, l) != 0) return false;
-    pos += n;
-    return true;
-  }
-  /// Scans up to the next '"' (values are scrubbed, so no escapes exist).
-  bool quoted(std::string& out) {
-    const std::size_t end = s.find('"', pos);
-    if (end == std::string::npos) return false;
-    out = s.substr(pos, end - pos);
-    pos = end + 1;
-    return true;
-  }
-  bool u64(std::uint64_t& v) {
-    if (pos >= s.size() || s[pos] < '0' || s[pos] > '9') return false;
-    v = 0;
-    std::size_t digits = 0;
-    while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9') {
-      if (++digits > 20) return false;
-      v = v * 10 + static_cast<std::uint64_t>(s[pos] - '0');
-      ++pos;
-    }
-    return true;
-  }
-  bool i64(std::int64_t& v) {
-    const bool neg = pos < s.size() && s[pos] == '-';
-    if (neg) ++pos;
-    std::uint64_t u = 0;
-    if (!u64(u)) return false;
-    v = neg ? -static_cast<std::int64_t>(u) : static_cast<std::int64_t>(u);
-    return true;
-  }
-  /// Floating token: everything up to the next ',' or '}' through strtod.
-  bool num(double& v) {
-    const std::size_t end = s.find_first_of(",}", pos);
-    if (end == std::string::npos || end == pos) return false;
-    const std::string token = s.substr(pos, end - pos);
-    char* stop = nullptr;
-    v = std::strtod(token.c_str(), &stop);
-    if (stop != token.c_str() + token.size()) return false;
-    pos = end;
-    return true;
-  }
-  bool done() const { return pos == s.size(); }
-};
-
-bool decode_metric_line(const std::string& line, MetricSample& out) {
-  // quoted() consumes the value's closing quote, so the literals that follow
-  // a quoted field start at the comma.
-  Scan sc{line};
-  MetricSample m;
-  std::string kind;
-  if (!sc.lit("{\"name\":\"") || !sc.quoted(m.name) || !sc.lit(",\"kind\":\"") ||
-      !sc.quoted(kind)) {
+bool decode_metric_line(const Value& line, MetricSample& out) {
+  const auto& f = line.members;
+  if (f.size() < 3 || !f[0].second.is(Kind::String) || !f[1].second.is(Kind::String)) {
     return false;
   }
+  MetricSample m;
+  m.name = f[0].second.text;
+  const std::string& kind = f[1].second.text;
   if (kind == "counter") {
     m.kind = MetricKind::Counter;
-    if (!sc.lit(",\"total\":") || !sc.u64(m.raw) || !sc.lit("}") || !sc.done()) return false;
+    if (!has_keys(line, {"name", "kind", "total"}) || !as_u64(f[2].second, m.raw)) return false;
     m.value = static_cast<double>(m.raw);
   } else if (kind == "gauge") {
     m.kind = MetricKind::Gauge;
-    if (!sc.lit(",\"value\":") || !sc.num(m.value) || !sc.lit("}") || !sc.done()) return false;
-  } else if (kind == "histogram") {
-    m.kind = MetricKind::Histogram;
-    if (!sc.lit(",\"count\":") || !sc.u64(m.count) || !sc.lit(",\"sum\":") ||
-        !sc.u64(m.raw) || !sc.lit(",\"buckets\":[")) {
+    if (!has_keys(line, {"name", "kind", "value"}) || !f[2].second.is(Kind::Number) ||
+        !to_f64(f[2].second.text, m.value)) {
       return false;
     }
-    if (!sc.lit("]")) {  // Non-empty bucket list.
-      while (true) {
-        std::uint64_t b = 0;
-        if (!sc.u64(b)) return false;
-        if (m.buckets.size() >= CounterRegistry::kHistBuckets) return false;
-        m.buckets.push_back(b);
-        if (sc.lit("]")) break;
-        if (!sc.lit(",")) return false;
-      }
+  } else if (kind == "histogram") {
+    m.kind = MetricKind::Histogram;
+    const Value& buckets = f.back().second;
+    if (!has_keys(line, {"name", "kind", "count", "sum", "buckets"}) ||
+        !as_u64(f[2].second, m.count) || !as_u64(f[3].second, m.raw) ||
+        !buckets.is(Kind::Array) || buckets.items.size() > CounterRegistry::kHistBuckets) {
+      return false;
     }
-    if (!sc.lit("}") || !sc.done()) return false;
+    for (const Value& b : buckets.items) {
+      if (!as_u64(b, m.buckets.emplace_back())) return false;
+    }
     m.value = static_cast<double>(m.raw);
   } else {
     return false;
@@ -161,7 +110,7 @@ std::string encode_snapshot_jsonl(const Snapshot& snap) {
         os << ",\"total\":" << m.raw;
         break;
       case MetricKind::Gauge:
-        os << ",\"value\":" << fmt_double(m.value);
+        os << ",\"value\":" << fmt_f64(m.value);
         break;
       case MetricKind::Histogram:
         os << ",\"count\":" << m.count << ",\"sum\":" << m.raw << ",\"buckets\":[";
@@ -184,24 +133,33 @@ bool decode_snapshot_jsonl(const std::string& text, Snapshot& out) {
   while (begin < text.size()) {
     std::size_t end = text.find('\n', begin);
     if (end == std::string::npos) end = text.size();  // Tolerate a missing final newline.
-    const std::string line = text.substr(begin, end - begin);
+    const std::optional<Value> line =
+        json::parse(std::string_view(text).substr(begin, end - begin));
     begin = end + 1;
-    if (line.empty()) return false;
+    if (!line) return false;
     if (!saw_header) {
-      Scan sc{line};
-      if (!sc.lit("{\"v\":1,\"kind\":\"snapshot\",\"t\":") || !sc.i64(snap.t_ms) ||
-          !sc.lit(",\"source\":\"") || !sc.quoted(snap.source) || !sc.lit(",\"n\":") ||
-          !sc.u64(n) || !sc.lit("}") || !sc.done()) {
+      const auto& f = line->members;
+      if (!has_keys(*line, {"v", "kind", "t", "source", "n"}) ||
+          !f[0].second.is(Kind::Number) || f[0].second.text != "1" ||
+          f[1].second.text != "snapshot" || !f[2].second.is(Kind::Number) ||
+          !to_i64(f[2].second.text, snap.t_ms) || !f[3].second.is(Kind::String) ||
+          !as_u64(f[4].second, n)) {
         return false;
       }
+      snap.source = f[3].second.text;
       saw_header = true;
       continue;
     }
     MetricSample m;
-    if (!decode_metric_line(line, m)) return false;
+    if (!decode_metric_line(*line, m)) return false;
     snap.metrics.push_back(std::move(m));
   }
   if (!saw_header || snap.metrics.size() != n) return false;
+  // Only the canonical rendering is accepted (no whitespace, escapes or
+  // alternate number spellings), so a decoded snapshot re-encodes to the
+  // bytes it came from.
+  const std::string canonical = encode_snapshot_jsonl(snap);
+  if (canonical != text && canonical != text + '\n') return false;
   out = std::move(snap);
   return true;
 }
@@ -273,7 +231,7 @@ std::string to_openmetrics(const Snapshot& snap) {
         os << fam << "_total " << m.raw << '\n';
         break;
       case MetricKind::Gauge:
-        os << fam << ' ' << fmt_double(m.value) << '\n';
+        os << fam << ' ' << fmt_f64(m.value) << '\n';
         break;
       case MetricKind::Histogram: {
         std::uint64_t cum = 0;

@@ -1,51 +1,12 @@
 #include "telemetry/interval_recorder.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
 
+#include "common/json.hpp"
+
 namespace esteem::telemetry {
-
-namespace {
-
-void append_number(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-/// Advances past `expected` or throws; whitespace is not tolerated because
-/// only our own writer output is accepted.
-void expect(const std::string& line, std::size_t& pos, char expected) {
-  if (pos >= line.size() || line[pos] != expected) {
-    throw std::runtime_error("interval jsonl: expected '" + std::string(1, expected) +
-                             "' at column " + std::to_string(pos));
-  }
-  ++pos;
-}
-
-std::string parse_key(const std::string& line, std::size_t& pos) {
-  expect(line, pos, '"');
-  const std::size_t end = line.find('"', pos);
-  if (end == std::string::npos) throw std::runtime_error("interval jsonl: unterminated key");
-  std::string key = line.substr(pos, end - pos);
-  pos = end + 1;
-  expect(line, pos, ':');
-  return key;
-}
-
-double parse_number(const std::string& line, std::size_t& pos) {
-  const char* start = line.c_str() + pos;
-  char* end = nullptr;
-  const double v = std::strtod(start, &end);
-  if (end == start) throw std::runtime_error("interval jsonl: expected a number");
-  pos += static_cast<std::size_t>(end - start);
-  return v;
-}
-
-}  // namespace
 
 IntervalRecorder::IntervalRecorder(std::vector<std::string> columns)
     : columns_(std::move(columns)), series_(columns_.size()) {}
@@ -77,7 +38,7 @@ void IntervalRecorder::write_jsonl(std::ostream& os) const {
       line += ",\"";
       line += columns_[c];
       line += "\":";
-      append_number(line, series_[c][r]);
+      line += fmt_f64(series_[c][r]);
     }
     line += "}\n";
     os << line;
@@ -95,7 +56,7 @@ void IntervalRecorder::write_csv(std::ostream& os) const {
     line = std::to_string(cycles_[r]);
     for (std::size_t c = 0; c < columns_.size(); ++c) {
       line += ',';
-      append_number(line, series_[c][r]);
+      line += fmt_f64(series_[c][r]);
     }
     os << line << '\n';
   }
@@ -109,6 +70,7 @@ bool IntervalRecorder::write_jsonl_file(const std::string& path) const {
 }
 
 IntervalRecorder IntervalRecorder::read_jsonl(std::istream& is) {
+  using json::Value;
   std::vector<std::string> columns;
   std::vector<std::uint64_t> cycles;
   std::vector<std::vector<double>> values;  // [row][column]
@@ -116,27 +78,34 @@ IntervalRecorder IntervalRecorder::read_jsonl(std::istream& is) {
   std::string line;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
-    std::size_t pos = 0;
-    expect(line, pos, '{');
-    bool first = true;
+    json::ParseError err;
+    const std::optional<Value> row_obj = json::parse(line, &err);
+    if (!row_obj) {
+      throw std::runtime_error("interval jsonl: " + err.reason + " at column " +
+                               std::to_string(err.offset));
+    }
+    if (!row_obj->is(Value::Kind::Object)) {
+      throw std::runtime_error("interval jsonl: row is not an object");
+    }
     std::vector<std::string> keys;
     std::vector<double> row;
     std::uint64_t cycle = 0;
     bool have_cycle = false;
-    while (pos < line.size() && line[pos] != '}') {
-      if (!first) expect(line, pos, ',');
-      first = false;
-      const std::string key = parse_key(line, pos);
-      const double v = parse_number(line, pos);
+    for (const auto& [key, v] : row_obj->members) {
       if (key == "cycle") {
-        cycle = static_cast<std::uint64_t>(v);
+        if (!v.is(Value::Kind::Number) || !to_u64(v.text, cycle)) {
+          throw std::runtime_error("interval jsonl: \"cycle\" is not a u64");
+        }
         have_cycle = true;
-      } else {
-        keys.push_back(key);
-        row.push_back(v);
+        continue;
       }
+      double x = 0.0;
+      if (!v.is(Value::Kind::Number) || !to_f64(v.text, x)) {
+        throw std::runtime_error("interval jsonl: \"" + key + "\" is not a number");
+      }
+      keys.push_back(key);
+      row.push_back(x);
     }
-    expect(line, pos, '}');
     if (!have_cycle) throw std::runtime_error("interval jsonl: row without \"cycle\"");
     if (columns.empty() && cycles.empty()) {
       columns = keys;

@@ -3,8 +3,9 @@
 // per-row allocation. The memory system records a row at every
 // tick_interval() when a run sink is attached (gated off by default);
 // exports are JSONL (one object per interval, self-describing keys) and
-// CSV. read_jsonl() parses exactly what write_jsonl() emits — values are
-// printed with %.17g so the round-trip is bit-exact.
+// CSV. read_jsonl() reads write_jsonl() output back through the shared JSON
+// reader (common/json.hpp); values are printed with %.17g, so the round
+// trip is bit-exact.
 #pragma once
 
 #include <cstdint>

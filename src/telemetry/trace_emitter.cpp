@@ -6,6 +6,8 @@
 #include <fstream>
 #include <ostream>
 
+#include "common/json.hpp"
+
 namespace esteem::telemetry {
 
 namespace {
@@ -40,29 +42,6 @@ double TraceEmitter::wall_now_us() noexcept {
   return std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() -
                                                    process_start())
       .count();
-}
-
-std::string TraceEmitter::json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 void TraceEmitter::push(Event e) {

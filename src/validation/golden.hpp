@@ -5,12 +5,11 @@
 // code change moves the results — without re-deriving what "the results"
 // were supposed to be.
 //
-// The format is a small, flat JSON dialect written and parsed here with no
-// third-party dependency: objects, arrays, strings, and doubles only (no
-// null/bool literals, no unicode escapes beyond \" \\ \/ \b \f \n \r \t).
+// The format is plain JSON of objects, arrays, strings and %.17g doubles,
+// written here with a stable key order and read through the shared strict
+// reader (common/json.hpp).
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 

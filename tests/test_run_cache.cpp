@@ -65,6 +65,13 @@ TEST(RunCacheFingerprint, StableForEqualSpecs) {
             fingerprint_hash(run_spec_fingerprint(b)));
 }
 
+TEST(RunCacheFingerprint, HashIsPinned) {
+  // On-disk memo files are named by this hash: if the fingerprint bytes
+  // move without a kMemoFormatVersion bump, every cached outcome is
+  // silently orphaned.
+  EXPECT_EQ(fingerprint_hash(run_spec_fingerprint(tiny_spec())), 0x0e6482720fbb27d4ULL);
+}
+
 TEST(RunCacheFingerprint, SensitiveToEveryRunKnob) {
   const std::string base = run_spec_fingerprint(tiny_spec());
 

@@ -159,6 +159,18 @@ TEST(ServiceWire, RoundTripIsExact) {
   EXPECT_EQ(sweep_fingerprint_hash(out), sweep_fingerprint_hash(spec));
 }
 
+TEST(ServiceWire, SweepHashesArePinned) {
+  // A service dir records both hashes in its svc header; if these bytes
+  // move without a kWireVersion bump, old dirs refuse to resume.
+  sim::SweepSpec spec = tiny_sweep({"mcf", "gobmk+namd"},
+                                   {sim::Technique::Esteem, sim::Technique::RefrintRPV});
+  spec.workloads[1].benchmarks = {"gobmk", "namd"};
+  spec.config.observability.metrics_path = "out/metrics.om";
+  spec.seed = 0xDEADBEEFCAFEF00DULL;
+  EXPECT_EQ(sweep_fingerprint_hash(spec), 0xa1324b2d0152e98bULL);
+  EXPECT_EQ(sim::fingerprint_hash(encode_sweep_spec(spec)), 0x55b351d2ff371132ULL);
+}
+
 TEST(ServiceWire, RejectsTruncationTrailingBytesAndForeignVersion) {
   const sim::SweepSpec spec = tiny_sweep({"mcf"}, {sim::Technique::Esteem});
   const std::string bytes = encode_sweep_spec(spec);

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
 #include "sim/run_cache.hpp"
@@ -203,6 +204,55 @@ TEST(SnapshotExport, DecodeRejectsMalformedInput) {
   EXPECT_FALSE(decode_snapshot_jsonl(wrong, out));
 }
 
+TEST(SnapshotExportFuzz, DecodeIsTotalOverMutatedText) {
+  CounterRegistry reg;
+  reg.counter("svc.rows").add(0x8000000000000001ULL);
+  reg.gauge("worker.rows_completed").set(1.0 / 3.0);
+  Histogram h = reg.histogram("row.duration_ms");
+  h.observe(0);
+  h.observe(123456);
+  const std::string text = encode_snapshot_jsonl(take_snapshot(reg, 1722988800123, "w-1"));
+
+  // An accepted text re-encodes to exactly its own bytes (a missing final
+  // newline is the one tolerated difference).
+  auto check = [](const std::string& in) {
+    Snapshot out;
+    if (!decode_snapshot_jsonl(in, out)) return false;
+    const std::string again = encode_snapshot_jsonl(out);
+    EXPECT_TRUE(again == in || again == in + "\n") << in;
+    return true;
+  };
+  for (std::size_t n = 0; n <= text.size(); ++n) {
+    if (check(text.substr(0, n))) {
+      EXPECT_GE(n, text.size() - 1);
+    }
+  }
+
+  std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
+  auto next = [&rng]() {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  for (int i = 0; i < 2000; ++i) {
+    std::string m = text;
+    switch (next() % 3) {
+      case 0:
+        m[next() % m.size()] = static_cast<char>(next() & 0xFF);
+        break;
+      case 1:
+        m.resize(next() % (m.size() + 1));
+        break;
+      default:
+        m.insert(m.begin() + static_cast<std::ptrdiff_t>(next() % (m.size() + 1)),
+                 static_cast<char>(next() & 0xFF));
+        break;
+    }
+    check(m);
+  }
+}
+
 TEST(SnapshotExport, MergeSumsCountersAddsHistogramsLwwGauges) {
   CounterRegistry r1, r2;
   r1.counter("hits").add(5);
@@ -387,7 +437,7 @@ TEST(TraceEmitter, EmitsChromeTraceEvents) {
   EXPECT_NE(json.find("mcf.esteem.s42"), std::string::npos);
 
   // Quotes, backslashes and control characters must be escaped for embedding.
-  EXPECT_EQ(TraceEmitter::json_escape("a\\b\"c\n"), "a\\\\b\\\"c\\n");
+  EXPECT_EQ(json_escape("a\\b\"c\n"), "a\\\\b\\\"c\\n");
 }
 
 TEST(PhaseProfiler, ScopedTimerAccumulates) {

@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -159,6 +161,31 @@ TEST(Golden, MalformedInputIsRejected) {
   EXPECT_THROW(golden_from_json("[1, 2]"), std::runtime_error);
   EXPECT_THROW(golden_from_json("{\"version\": 1, \"generator\": \"g\"}"),
                std::runtime_error);
+  EXPECT_THROW(golden_from_json("{\"version\": 1e300, \"generator\": \"g\", \"scales\": []}"),
+               std::runtime_error);
+  // `--golden PATH` is outside input: nesting deep enough to overflow an
+  // uncapped recursive reader is a clean error naming the byte offset.
+  try {
+    golden_from_json(std::string(2'000'000, '['));
+    ADD_FAILURE() << "deeply nested input was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("golden JSON parse error at byte 64"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Golden, CheckedInFileRoundTripsByteIdentically) {
+  // The real baseline, not a sample: load -> save must reproduce the
+  // checked-in bytes, so `--update-golden` diffs only what moved.
+  const std::string path = std::string(ESTEEM_SOURCE_DIR) + "/validation/golden.json";
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << path;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  const GoldenFile file = load_golden(path);
+  EXPECT_FALSE(file.scales.empty());
+  EXPECT_EQ(golden_to_json(file), bytes.str());
 }
 
 TEST(Golden, FindAndUpsertScale) {

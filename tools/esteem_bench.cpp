@@ -54,6 +54,7 @@
 #include "sim/runner.hpp"
 #include "sim/task_pool.hpp"
 #include "telemetry/telemetry.hpp"
+#include "sweep_cli_common.hpp"
 #include "trace/workloads.hpp"
 
 namespace {
@@ -68,16 +69,6 @@ using namespace esteem;
                "                    [--warmup N] [--jobs N] [--repeat K]\n"
                "                    [--json FILE] [--sampling-speedup]\n");
   std::exit(err ? 2 : 0);
-}
-
-std::vector<std::string> split_csv(const std::string& arg) {
-  std::vector<std::string> out;
-  std::istringstream is(arg);
-  std::string item;
-  while (std::getline(is, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
 }
 
 struct RepeatSample {
@@ -107,12 +98,11 @@ int main(int argc, char** argv) {
     };
     if (arg == "--workloads") workloads_arg = value();
     else if (arg == "--techniques") techniques_arg = value();
-    else if (arg == "--instr") instr = std::strtoull(value().c_str(), nullptr, 10);
-    else if (arg == "--warmup") warmup = std::strtoull(value().c_str(), nullptr, 10);
-    else if (arg == "--jobs")
-      jobs = static_cast<unsigned>(std::strtoul(value().c_str(), nullptr, 10));
+    else if (arg == "--instr") instr = tools::parse_count(arg, value());
+    else if (arg == "--warmup") warmup = tools::parse_count(arg, value());
+    else if (arg == "--jobs") jobs = static_cast<unsigned>(tools::parse_count(arg, value(), ~0U));
     else if (arg == "--repeat")
-      repeat = static_cast<unsigned>(std::strtoul(value().c_str(), nullptr, 10));
+      repeat = static_cast<unsigned>(tools::parse_count(arg, value(), ~0U));
     else if (arg == "--json") json_path = value();
     else if (arg == "--sampling-speedup") sampling_speedup = true;
     else if (arg == "--help" || arg == "-h") usage();
@@ -140,16 +130,17 @@ int main(int argc, char** argv) {
     spec.workloads = trace::dual_core_workloads();
     spec.config = SystemConfig::dual_core();
   } else {
-    const auto n = static_cast<std::size_t>(
-        std::strtoull(workloads_arg.c_str(), nullptr, 10));
-    if (n == 0) usage("--workloads must be single, dual, or a positive count");
+    std::uint64_t n = 0;
+    if (!to_u64(workloads_arg, n) || n == 0) {
+      usage("--workloads must be single, dual, or a positive count");
+    }
     auto all = trace::single_core_workloads();
     all.resize(std::min(n, all.size()));
     spec.workloads = std::move(all);
     spec.config = SystemConfig::single_core();
   }
   spec.techniques.clear();
-  for (const std::string& name : split_csv(techniques_arg)) {
+  for (const std::string& name : tools::split_csv(techniques_arg)) {
     spec.techniques.push_back(sim::parse_technique(name));
   }
   if (spec.techniques.empty()) usage("empty technique list");

@@ -47,6 +47,7 @@
 #include "sim/report.hpp"
 #include "sim/run_cache.hpp"
 #include "sim/runner.hpp"
+#include "sweep_cli_common.hpp"
 
 namespace {
 
@@ -498,11 +499,11 @@ int main(int argc, char** argv) {
     else if (arg == "--replay") { command = "replay"; schedule = value(); }
     else if (arg == "--random-replay") {
       command = "random-replay";
-      seed = std::strtoull(value().c_str(), nullptr, 10);
+      seed = tools::parse_count(arg, value());
     } else if (arg == "--random") {
-      n_random = static_cast<unsigned>(std::strtoul(value().c_str(), nullptr, 10));
+      n_random = static_cast<unsigned>(tools::parse_count(arg, value(), ~0U));
     } else if (arg == "--rate") {
-      rate = static_cast<unsigned>(std::strtoul(value().c_str(), nullptr, 10));
+      rate = static_cast<unsigned>(tools::parse_count(arg, value(), ~0U));
     } else if (arg == "--mode") {
       mode = value();
       if (mode != "journaled" && mode != "append" && mode != "lockfile") {

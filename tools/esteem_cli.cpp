@@ -289,11 +289,11 @@ int main(int argc, char** argv) {
     else if (arg == "--csv") csv_path = value();
     else if (arg == "--config") config_path = value();
     else if (arg == "--journal") journal_dir = value();
-    else if (arg == "--instr") instr = std::strtoull(value().c_str(), nullptr, 10);
-    else if (arg == "--warmup") warmup = std::strtoull(value().c_str(), nullptr, 10);
-    else if (arg == "--seed") seed = std::strtoull(value().c_str(), nullptr, 10);
+    else if (arg == "--instr") instr = tools::parse_count(arg, value());
+    else if (arg == "--warmup") warmup = tools::parse_count(arg, value());
+    else if (arg == "--seed") seed = tools::parse_count(arg, value());
     else if (arg == "--jobs")
-      jobs = static_cast<unsigned>(std::strtoul(value().c_str(), nullptr, 10));
+      jobs = static_cast<unsigned>(tools::parse_count(arg, value(), ~0U));
     else if (arg == "--compare") compare = true;
     else if (arg == "--timeline") timeline_path = value();
     else if (arg == "--telemetry-dir") telemetry_dir = value();

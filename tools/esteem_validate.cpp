@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "resilience/shutdown.hpp"
+#include "sweep_cli_common.hpp"
 #include "validation/figures.hpp"
 #include "validation/golden.hpp"
 #include "validation/results_book.hpp"
@@ -84,19 +85,6 @@ void usage(std::FILE* to) {
                "                       [--journal-dir DIR]\n");
 }
 
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t comma = s.find(',', start);
-    const std::string tok = s.substr(start, comma - start);
-    if (!tok.empty()) out.push_back(tok);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
 bool parse_args(int argc, char** argv, Options& opt) {
   auto need_value = [&](int i) {
     if (i + 1 >= argc) {
@@ -128,7 +116,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
       }
     } else if (a == "--figures") {
       if (!need_value(i)) return false;
-      opt.figure_ids = split_csv(argv[++i]);
+      opt.figure_ids = tools::split_csv(argv[++i]);
       for (const std::string& id : opt.figure_ids) {
         if (find_figure(id) == nullptr) {
           std::fprintf(stderr, "unknown figure id '%s'\n", id.c_str());
@@ -140,15 +128,14 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.journal_dir = argv[++i];
     } else if (a == "--perturb-refresh-energy") {
       if (!need_value(i)) return false;
-      opt.perturb_refresh = std::atof(argv[++i]);
-      if (opt.perturb_refresh <= 0.0) {
-        std::fprintf(stderr, "--perturb-refresh-energy must be > 0\n");
+      if (!to_f64(argv[++i], opt.perturb_refresh) || opt.perturb_refresh <= 0.0) {
+        std::fprintf(stderr, "--perturb-refresh-energy must be a number > 0\n");
         return false;
       }
     } else if (a == "--instr" || a == "--warmup" || a == "--seed" || a == "--jobs") {
       if (!need_value(i)) return false;
-      const long long v = std::atoll(argv[++i]);
-      if (v < 0 || (v == 0 && a != "--jobs" && a != "--seed")) {
+      const auto v = static_cast<long long>(tools::parse_count(a, argv[++i], INT64_MAX));
+      if (v == 0 && a != "--jobs" && a != "--seed") {
         std::fprintf(stderr, "%s must be positive\n", a.c_str());
         return false;
       }

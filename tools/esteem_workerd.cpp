@@ -206,11 +206,11 @@ int main(int argc, char** argv) {
     else if (arg == "--out") trace_out = value();
     else if (arg == "--json") json = true;
     else if (arg == "--owner") owner = value();
-    else if (arg == "--instr") instr = std::strtoull(value().c_str(), nullptr, 10);
-    else if (arg == "--warmup") warmup = std::strtoull(value().c_str(), nullptr, 10);
-    else if (arg == "--seed") seed = std::strtoull(value().c_str(), nullptr, 10);
+    else if (arg == "--instr") instr = tools::parse_count(arg, value());
+    else if (arg == "--warmup") warmup = tools::parse_count(arg, value());
+    else if (arg == "--seed") seed = tools::parse_count(arg, value());
     else if (arg == "--timeout-ms")
-      timeout_ms = static_cast<std::uint32_t>(std::strtoul(value().c_str(), nullptr, 10));
+      timeout_ms = static_cast<std::uint32_t>(tools::parse_count(arg, value(), ~0U));
     else if (arg == "--quiet") quiet = true;
     else if (arg == "--help" || arg == "-h") usage();
     else usage(("unknown option " + arg).c_str());

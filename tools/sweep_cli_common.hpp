@@ -1,4 +1,6 @@
-// Sweep-spec construction shared by esteem_cli and esteem_workerd.
+// CLI helpers shared by the tools: the count-flag parser every tool uses,
+// split_csv, and the sweep-spec construction of esteem_cli and
+// esteem_workerd.
 //
 // The multi-process service promises byte-identical output to a
 // single-process `esteem_cli --sweep` of the same flags, which only holds if
@@ -9,16 +11,34 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/json.hpp"
 #include "sim/runner.hpp"
 #include "sim/technique.hpp"
 #include "trace/workloads.hpp"
 
 namespace esteem::tools {
+
+/// Value of a count flag (--instr, --warmup, --seed, --jobs, ...): decimal
+/// digits only, at most `max`. Anything else ("2M", "-1", "1e6", overflow)
+/// is a usage error: a message on stderr and exit code 2, never a silent
+/// misread. Callers keep their own range rules (e.g. a zero check).
+inline std::uint64_t parse_count(const std::string& flag, const std::string& text,
+                                 std::uint64_t max = ~0ULL) {
+  std::uint64_t v = 0;
+  if (!to_u64(text, v) || v > max) {
+    std::fprintf(stderr, "error: %s expects a decimal count up to %llu, got '%s'\n",
+                 flag.c_str(), static_cast<unsigned long long>(max), text.c_str());
+    std::exit(2);
+  }
+  return v;
+}
 
 inline std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
