@@ -1,10 +1,12 @@
 #include "chaos/fault_plan.hpp"
 
 #include <atomic>
+#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 namespace esteem::chaos {
@@ -253,6 +255,27 @@ Injection RandomFaultPlan::at(const std::string& point) {
   return inj;
 }
 
+namespace {
+
+/// Reads the environment variable `name`'s value `text` into `out`: plain
+/// decimal digits, at most `max`. Anything else (a sign, a suffix, an empty
+/// value, an overflow) is refused with a message naming the variable.
+bool parse_env_count(const char* name, const char* text, std::uint64_t max,
+                     std::uint64_t& out) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (std::isdigit(static_cast<unsigned char>(*text)) == 0 || *end != '\0' ||
+      errno == ERANGE || v > max) {
+    std::fprintf(stderr, "chaos: bad %s '%s'\n", name, text);
+    return false;
+  }
+  out = v;
+  return true;
+}
+
+}  // namespace
+
 bool install_from_env() {
   const char* schedule = std::getenv("ESTEEM_CHAOS_SCHEDULE");
   if (schedule != nullptr && *schedule != '\0') {
@@ -268,22 +291,24 @@ bool install_from_env() {
   }
   const char* seed_text = std::getenv("ESTEEM_CHAOS_RANDOM_SEED");
   if (seed_text != nullptr && *seed_text != '\0') {
-    char* end = nullptr;
-    const std::uint64_t seed = std::strtoull(seed_text, &end, 10);
-    if (end == seed_text || *end != '\0') {
-      std::fprintf(stderr, "chaos: bad ESTEEM_CHAOS_RANDOM_SEED '%s'\n",
-                   seed_text);
+    constexpr std::uint64_t kUnsignedMax = std::numeric_limits<unsigned>::max();
+    std::uint64_t seed = 0;
+    std::uint64_t rate = 3;
+    std::uint64_t max_inj = 6;
+    if (!parse_env_count("ESTEEM_CHAOS_RANDOM_SEED", seed_text,
+                         std::numeric_limits<std::uint64_t>::max(), seed)) {
       return false;
     }
-    unsigned rate = 3;
-    unsigned max_inj = 6;
-    if (const char* r = std::getenv("ESTEEM_CHAOS_RATE")) {
-      rate = static_cast<unsigned>(std::strtoul(r, nullptr, 10));
+    if (const char* r = std::getenv("ESTEEM_CHAOS_RATE");
+        r != nullptr && !parse_env_count("ESTEEM_CHAOS_RATE", r, kUnsignedMax, rate)) {
+      return false;
     }
-    if (const char* m = std::getenv("ESTEEM_CHAOS_MAX")) {
-      max_inj = static_cast<unsigned>(std::strtoul(m, nullptr, 10));
+    if (const char* m = std::getenv("ESTEEM_CHAOS_MAX");
+        m != nullptr && !parse_env_count("ESTEEM_CHAOS_MAX", m, kUnsignedMax, max_inj)) {
+      return false;
     }
-    install_plan(std::make_unique<RandomFaultPlan>(seed, rate, max_inj));
+    install_plan(std::make_unique<RandomFaultPlan>(seed, static_cast<unsigned>(rate),
+                                                   static_cast<unsigned>(max_inj)));
     return true;
   }
   return false;

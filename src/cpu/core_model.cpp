@@ -1,6 +1,7 @@
 #include "cpu/core_model.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <system_error>
 
 namespace esteem::cpu {
@@ -20,10 +21,13 @@ void Core::step(MemorySystem& mem) {
   ++instret_;
 }
 
-void Core::start_prefetch() {
+void Core::start_prefetch(const SamplePlan* plan) {
   if (prefetch_) return;
+  if (plan != nullptr && instret_ != 0) {
+    throw std::logic_error("Core::start_prefetch: a sampling plan starts at the stream's start");
+  }
   try {
-    prefetch_ = std::make_unique<RefPrefetcher>(*generator_);
+    prefetch_ = std::make_unique<RefPrefetcher>(*generator_, plan);
   } catch (const std::system_error&) {
     // No thread to be had (e.g. a process limit): the producer never ran,
     // so the generator is untouched and the core carries on inline.
@@ -45,10 +49,14 @@ void Core::advance_clock(instr_t n, double cpi) {
 }
 
 void Core::skip(instr_t n, double cpi) {
-  if (prefetch_) {
-    throw std::logic_error("Core::skip: the stream is generated ahead on a producer thread");
+  if (!prefetch_) {
+    generator_->skip(n);
+  } else if (cur_ != end_) {
+    throw std::logic_error("Core::skip: " + std::to_string(end_ - cur_) +
+                           " prefetched references precede the skip");
+  } else {
+    prefetch_->take_skip(n);
   }
-  generator_->skip(n);
   instret_ += n;
   advance_clock(n, cpi);
 }

@@ -12,6 +12,7 @@
 #include "common/types.hpp"
 #include "cpu/memory_system.hpp"
 #include "cpu/ref_prefetcher.hpp"
+#include "cpu/sample_plan.hpp"
 #include "trace/access.hpp"
 
 namespace esteem::cpu {
@@ -27,10 +28,12 @@ class Core {
   void step(MemorySystem& mem);
 
   /// From now on the generator runs on a producer thread ahead of this core
-  /// (RefPrefetcher); the references consumed are exactly the same. The
-  /// producer is joined when the core is destroyed. Idempotent. When the
-  /// host refuses a thread the core stays inline (prefetching() is false).
-  void start_prefetch();
+  /// (RefPrefetcher); the references consumed are exactly the same. With a
+  /// sampled run's `plan`, the producer also makes the plan's analytic skips
+  /// (the core must not have started). The producer is joined when the core
+  /// is destroyed. Idempotent. When the host refuses a thread the core stays
+  /// inline (prefetching() is false).
+  void start_prefetch(const SamplePlan* plan = nullptr);
   bool prefetching() const noexcept { return prefetch_ != nullptr; }
 
   /// Sampling fast-forward: advances the generator past `n` instructions
@@ -38,8 +41,10 @@ class Core {
   /// local clock at `cpi` cycles per instruction — the executor's running
   /// CPI estimate, so interval-based machinery downstream of the clock
   /// (refresh epochs, ESTEEM intervals) stays aligned with real time.
-  /// Throws std::logic_error once prefetching started: the generator is
-  /// then ahead of the consumed position.
+  /// On a prefetching core the producer already made this skip, where its
+  /// plan said: the core consumes the skip's marker, and throws
+  /// std::logic_error if references remain before it, or the plan makes no
+  /// skip of `n` here (a core prefetching without a plan never skips).
   void skip(instr_t n, double cpi);
 
   /// Sampling functional warming: executes the next batch against the

@@ -1,8 +1,12 @@
 #include "cpu/ref_prefetcher.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace esteem::cpu {
 
-RefPrefetcher::RefPrefetcher(trace::AccessGenerator& generator) : generator_(generator) {
+RefPrefetcher::RefPrefetcher(trace::AccessGenerator& generator, const SamplePlan* plan)
+    : generator_(generator), plan_(plan != nullptr ? std::optional(*plan) : std::nullopt) {
   if (telemetry::active()) {
     telemetry::CounterRegistry& reg = telemetry::registry();
     chunks_ = reg.counter("trace.prefetch.chunks");
@@ -32,28 +36,77 @@ void RefPrefetcher::produce() {
     }
     if (stop_.load()) return;
     Chunk& chunk = ring_[k % kChunks];
+    chunk.count = 0;
+    chunk.skip = 0;
     try {
-      generator_.fill(chunk.refs.data(), kChunkRefs);
-      chunk.count = kChunkRefs;
+      fill(chunk);
     } catch (const trace::FillInterrupted& e) {
-      chunk.count = e.done;
+      chunk.count += e.done;
       chunk.error = e.cause;
     } catch (...) {
-      chunk.count = 0;
       chunk.error = std::current_exception();
     }
-    const bool last = chunk.error != nullptr;
+    const bool last = chunk.last || chunk.error != nullptr;
     produced_.store(k + 1, std::memory_order_release);
     produced_.notify_one();
     chunks_.add();
-    if (last) return;  // the consumer rethrows after this chunk
+    if (last) return;  // the consumer stops (or rethrows) after this chunk
   }
 }
 
-std::span<const trace::MemRef> RefPrefetcher::next_chunk() {
+void RefPrefetcher::fill(Chunk& chunk) {
+  if (!plan_) {
+    generator_.fill(chunk.refs.data(), kChunkRefs);
+    chunk.count = kChunkRefs;
+    return;
+  }
+  for (;;) {
+    if (instret_ < stop_at_) {
+      trace::MemRef* out = chunk.refs.data() + chunk.count;
+      const std::size_t n =
+          generator_.fill_until(out, kChunkRefs - chunk.count, stop_at_ - instret_);
+      chunk.count += n;
+      for (std::size_t i = 0; i < n; ++i) instret_ += std::uint64_t{out[i].gap} + 1;
+      if (instret_ < stop_at_) return;  // the chunk is full
+    }
+    pass_stop(chunk);
+    // No skip was due (a run of references overshot the next target): the
+    // next run goes on in this chunk.
+    if (chunk.skip > 0 || chunk.last || chunk.count == kChunkRefs) return;
+  }
+}
+
+void RefPrefetcher::pass_stop(Chunk& chunk) {
+  const SamplePlan& plan = *plan_;
+  std::uint64_t target = 0;
+  if (stops_ == 0) {
+    target = plan.warm_skip;  // the stream's start: nothing executed yet
+    stop_at_ = plan.warmup;
+  } else {
+    if (stops_ == 1) base_ = instret_;
+    const std::uint64_t k = stops_ - 1;
+    if (k < plan.nwindows) {
+      target = plan.skip_target(base_, k);
+      stop_at_ = target + plan.span();
+    } else {
+      target = plan.end(base_);
+      chunk.last = true;
+    }
+  }
+  ++stops_;
+  if (instret_ < target) {
+    const std::uint64_t n = target - instret_;
+    generator_.skip(n);
+    instret_ = target;
+    chunk.skip = n;
+  }
+}
+
+std::span<const trace::MemRef> RefPrefetcher::advance() {
   if (taken_ > 0) {
     const Chunk& held = ring_[(taken_ - 1) % kChunks];
     if (held.error) std::rethrow_exception(held.error);
+    if (held.last) throw std::logic_error("RefPrefetcher: the sampling plan's stream has ended");
     released_.store(taken_, std::memory_order_release);
     released_.notify_one();
   }
@@ -67,8 +120,37 @@ std::span<const trace::MemRef> RefPrefetcher::next_chunk() {
   }
   const Chunk& chunk = ring_[taken_ % kChunks];
   ++taken_;
-  if (chunk.count == 0) std::rethrow_exception(chunk.error);
+  if (chunk.count == 0 && chunk.error) std::rethrow_exception(chunk.error);
+  held_skip_ = chunk.skip;
   return {chunk.refs.data(), chunk.count};
+}
+
+std::span<const trace::MemRef> RefPrefetcher::next_chunk() {
+  if (held_skip_ == 0) {
+    const std::span<const trace::MemRef> chunk = advance();
+    if (!chunk.empty()) return chunk;
+    // Only the plan's last chunk can be empty without a skip.
+    if (held_skip_ == 0) {
+      throw std::logic_error("RefPrefetcher: the sampling plan's stream has ended");
+    }
+  }
+  throw std::logic_error("RefPrefetcher: the sampling plan skips " +
+                         std::to_string(held_skip_) +
+                         " instructions before the next reference");
+}
+
+void RefPrefetcher::take_skip(std::uint64_t n) {
+  // A chunk of references ends where its skip is due; a stream that opens
+  // with a skip publishes it on an empty first chunk.
+  if (held_skip_ == 0 && !advance().empty()) {
+    throw std::logic_error("RefPrefetcher: no skip is due here, references come first");
+  }
+  if (held_skip_ != n) {
+    throw std::logic_error("RefPrefetcher: a skip of " + std::to_string(n) +
+                           " instructions where the sampling plan skips " +
+                           std::to_string(held_skip_));
+  }
+  held_skip_ = 0;
 }
 
 }  // namespace esteem::cpu

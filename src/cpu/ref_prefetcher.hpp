@@ -6,10 +6,17 @@
 // per-reference wall time falls from gen + hierarchy to about
 // max(gen, hierarchy) with every output bit unchanged (DESIGN.md §7).
 //
-// The producer fills a bounded ring of kChunks chunks of kChunkRefs
-// references through AccessGenerator::fill; the consumer takes them in
-// order. Each side blocks at most once per chunk, on a C++20 atomic
-// wait/notify (a futex), never by spinning on its own.
+// The producer fills a bounded ring of kChunks chunks of up to kChunkRefs
+// references; the consumer takes them in order. Each side blocks at most
+// once per chunk, on a C++20 atomic wait/notify (a futex), never by
+// spinning on its own.
+//
+// A sampled run hands the producer its SamplePlan. The skips' positions and
+// sizes follow from the stream alone (cpu/sample_plan.hpp), so the producer
+// performs each analytic generator skip itself: it ends the chunk at the
+// reference where the core will call Core::skip, marks the chunk with the
+// skip's size, skips, and goes on generating. It stops for good after the
+// plan's tail skip. Without a plan it fills whole chunks forever.
 #pragma once
 
 #include <array>
@@ -17,9 +24,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <optional>
 #include <span>
 #include <thread>
 
+#include "cpu/sample_plan.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/access.hpp"
 
@@ -32,7 +41,10 @@ class RefPrefetcher {
 
   /// Starts the producer at the generator's current position. From here on
   /// only the producer touches `generator`, which must outlive this object.
-  explicit RefPrefetcher(trace::AccessGenerator& generator);
+  /// With a sampled run's `plan` (copied), that position must be the
+  /// stream's start (instret 0).
+  explicit RefPrefetcher(trace::AccessGenerator& generator,
+                         const SamplePlan* plan = nullptr);
   /// Stops the producer (mid-chunk or blocked on a full ring) and joins it.
   ~RefPrefetcher();
   RefPrefetcher(const RefPrefetcher&) = delete;
@@ -41,25 +53,51 @@ class RefPrefetcher {
   /// The stream's next chunk; hands the previous one back to the producer.
   /// When the generator failed, the references before the failure come out
   /// first, and then this call rethrows the failure (and keeps doing so).
+  /// Throws std::logic_error where the plan skips first, or after its end.
   std::span<const trace::MemRef> next_chunk();
+
+  /// Consumes the plan's skip of `n` instructions, due once every reference
+  /// handed out so far is consumed; the producer has already made it.
+  /// Throws std::logic_error if no skip is due here or it is not `n`, and
+  /// rethrows a generator failure at this point of the stream.
+  void take_skip(std::uint64_t n);
 
  private:
   struct Chunk {
     std::array<trace::MemRef, kChunkRefs> refs;
     std::size_t count = 0;
+    std::uint64_t skip = 0;    ///< Instructions skipped after the last ref.
+    bool last = false;         ///< The plan's end: nothing follows.
     std::exception_ptr error;  ///< Set on the producer's last chunk only.
   };
 
   void produce();
+  /// Fills `chunk` up to the plan's next skip, or whole without a plan.
+  void fill(Chunk& chunk);
+  /// At a stop: makes the skip the plan makes there (if the stream is short
+  /// of its target, marking `chunk` with it) and moves on to the next stop.
+  void pass_stop(Chunk& chunk);
+  /// Hands out the next chunk, empty or not.
+  std::span<const trace::MemRef> advance();
 
   trace::AccessGenerator& generator_;
+  const std::optional<SamplePlan> plan_;
   std::array<Chunk, kChunks> ring_;
   /// Chunks published by the producer / handed back by the consumer; both
   /// only grow (modulo 2^32), so `produced_ - released_` is the fill level.
   std::atomic<std::uint32_t> produced_{0};
   std::atomic<std::uint32_t> released_{0};
   std::atomic<bool> stop_{false};
-  std::uint32_t taken_ = 0;  ///< Consumer side: chunks handed out.
+  /// Producer side, planned runs only: the stream's instret, the instret at
+  /// which the current run of references stops, the stops passed so far and
+  /// the instret where the warm-up stopped.
+  std::uint64_t instret_ = 0;
+  std::uint64_t stop_at_ = 0;
+  std::uint64_t stops_ = 0;
+  std::uint64_t base_ = 0;
+  /// Consumer side: chunks handed out, and the held chunk's pending skip.
+  std::uint32_t taken_ = 0;
+  std::uint64_t held_skip_ = 0;
   /// Bound only when telemetry is active; otherwise inert no-ops.
   telemetry::Counter chunks_;
   telemetry::Counter consumer_waits_;

@@ -37,13 +37,16 @@ System::System(const SystemConfig& cfg, Technique technique,
   }
 }
 
+void System::start_prefetch(const SamplePlan* plan) {
+  if (std::thread::hardware_concurrency() <= 1) return;
+  for (std::size_t c = 0; c < cores_.size(); ++c) {
+    if (!replays_trace_[c]) cores_[c].start_prefetch(plan);
+  }
+}
+
 RawRunResult System::run(const RunOptions& options) {
   const cycle_t interval = cfg_.esteem.interval_cycles;
-  if (std::thread::hardware_concurrency() > 1) {
-    for (std::size_t c = 0; c < cores_.size(); ++c) {
-      if (!replays_trace_[c]) cores_[c].start_prefetch();
-    }
-  }
+  start_prefetch();
 
   // Warm-up: fill the caches at full associativity, then zero all counters
   // (the paper fast-forwards before measuring, §6.4).

@@ -16,6 +16,7 @@
 #include "common/config.hpp"
 #include "cpu/core_model.hpp"
 #include "cpu/memory_system.hpp"
+#include "cpu/sample_plan.hpp"
 #include "cpu/technique.hpp"
 #include "energy/energy_model.hpp"
 
@@ -63,14 +64,16 @@ class System {
   System(const SystemConfig& cfg, Technique technique,
          const std::vector<std::string>& benchmarks, std::uint64_t seed);
 
-  /// Runs every core exhaustively to its target. On a host with more than
-  /// one hardware thread, each core that runs a synthetic generator first
-  /// starts generating on a producer thread (Core::start_prefetch); a
-  /// "trace:" replay stays inline, since its stream is already in memory
-  /// (DESIGN.md §7). Sampled runs drive the cores themselves
-  /// (sampling::run_sampled) and never prefetch: their analytic skips need
-  /// the generator at the consumed position.
+  /// Runs every core exhaustively to its target, on producer threads where
+  /// start_prefetch allows.
   RawRunResult run(const RunOptions& options);
+
+  /// On a host with more than one hardware thread, starts a producer thread
+  /// on each core that runs a synthetic generator (Core::start_prefetch),
+  /// handing it a sampled run's `plan` (null for an exhaustive run). A
+  /// "trace:" replay stays inline, since its stream is already in memory
+  /// (DESIGN.md §7). Both run() and sampling::run_sampled start here.
+  void start_prefetch(const SamplePlan* plan = nullptr);
 
   MemorySystem& memory() noexcept { return mem_; }
   std::vector<Core>& cores() noexcept { return cores_; }

@@ -1,10 +1,7 @@
 #include "sampling/sampled_run.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 namespace esteem::sampling {
@@ -105,18 +102,12 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
   std::vector<cpu::Core>& cores = sys.cores();
   const std::size_t ncores = cores.size();
 
-  const instr_t period = sc.period_instr;
-  const instr_t window = sc.window_instr;
-  const instr_t dwarm = sc.detail_warm_instr;
-  const instr_t ffwarm = sc.ff_warm_instr;
-  const instr_t pre_skip = period - window - dwarm - ffwarm;  // validated > 0
-  const std::uint64_t nwindows = options.instr_per_core / period;
-  if (nwindows < 2) {
-    throw std::invalid_argument(
-        "sampling: instr_per_core must cover >= 2 periods (got " +
-        std::to_string(options.instr_per_core) + " instructions at period " +
-        std::to_string(period) + ")");
-  }
+  // Every segment boundary below comes from the plan, which the cores'
+  // producer threads follow too: each makes the plan's analytic skips at
+  // exactly the references where this executor calls Core::skip.
+  const cpu::SamplePlan plan =
+      cpu::make_sample_plan(sc, options.instr_per_core, options.warmup_instr_per_core);
+  sys.start_prefetch(&plan);
 
   SampledRunResult out;
   cpu::RawRunResult& result = out.raw;
@@ -132,15 +123,12 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
   // catches up to the skipped time on the first warming access). The clock
   // advances at CPI 1 here; warm-up timing is never measured.
   std::vector<double> cpi(ncores, 1.0);
-  const instr_t warm_tail =
-      std::min(options.warmup_instr_per_core, sc.cold_warm_instr);
-  const instr_t warm_skip = options.warmup_instr_per_core - warm_tail;
-  if (warm_skip > 0) {
-    for (cpu::Core& core : cores) core.skip(warm_skip, 1.0);
+  if (plan.warm_skip > 0) {
+    for (cpu::Core& core : cores) core.skip(plan.warm_skip, 1.0);
   }
-  if (warm_tail > 0) {
+  if (plan.warmup > plan.warm_skip) {
     mem.set_warming(true);
-    std::vector<instr_t> warm_target(ncores, options.warmup_instr_per_core);
+    std::vector<instr_t> warm_target(ncores, plan.warmup);
     run_segment(cores, warm_target, clock,
                 [&](std::size_t c) { cores[c].step_warm(mem, cpi[c]); });
     mem.set_warming(false);
@@ -170,10 +158,10 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
   std::vector<instr_t> w_i0(ncores);
   std::vector<cycle_t> w_c0(ncores);
 
-  for (std::uint64_t k = 0; k < nwindows; ++k) {
+  for (std::uint64_t k = 0; k < plan.nwindows; ++k) {
     // SKIP: analytic fast-forward at the running CPI estimate.
     for (std::size_t c = 0; c < ncores; ++c) {
-      seg_target[c] = base_instr[c] + k * period + pre_skip;
+      seg_target[c] = plan.skip_target(base_instr[c], k);
       if (cores[c].instret() < seg_target[c]) {
         cores[c].skip(seg_target[c] - cores[c].instret(), cpi[c]);
       }
@@ -183,7 +171,7 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
 
     // FF_WARM: functional warming re-establishes microarchitectural state.
     mem.set_warming(true);
-    for (std::size_t c = 0; c < ncores; ++c) seg_target[c] += ffwarm;
+    for (std::size_t c = 0; c < ncores; ++c) seg_target[c] += plan.ff_warm;
     run_segment(cores, seg_target, clock,
                 [&](std::size_t c) { cores[c].step_warm(mem, cpi[c]); });
     mem.set_warming(false);
@@ -192,7 +180,7 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
     // DETAIL_WARM: detailed execution, unmeasured — drains the warming-mode
     // timing transient (cold banks, unloaded memory channel) before the
     // window opens.
-    for (std::size_t c = 0; c < ncores; ++c) seg_target[c] += dwarm;
+    for (std::size_t c = 0; c < ncores; ++c) seg_target[c] += plan.detail_warm;
     run_segment(cores, seg_target, clock,
                 [&](std::size_t c) { cores[c].step(mem); });
 
@@ -201,7 +189,7 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
     for (std::size_t c = 0; c < ncores; ++c) {
       w_i0[c] = cores[c].instret();
       w_c0[c] = cores[c].cycles();
-      seg_target[c] += window;
+      seg_target[c] += plan.window;
     }
     run_segment(cores, seg_target, clock,
                 [&](std::size_t c) { cores[c].step(mem); });
@@ -241,7 +229,7 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
   // Tail: skip the residual past the last window so the run covers exactly
   // instr_per_core instructions of simulated time.
   for (std::size_t c = 0; c < ncores; ++c) {
-    const instr_t final_target = base_instr[c] + options.instr_per_core;
+    const instr_t final_target = plan.end(base_instr[c]);
     if (cores[c].instret() < final_target) {
       cores[c].skip(final_target - cores[c].instret(), cpi[c]);
     }
@@ -260,9 +248,9 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
 
   SamplingEstimates& est = out.estimates;
   est.enabled = true;
-  est.windows = nwindows;
-  est.window_instr = window;
-  est.detailed_instr = nwindows * (dwarm + window);
+  est.windows = plan.nwindows;
+  est.window_instr = plan.window;
+  est.detailed_instr = plan.nwindows * (plan.detail_warm + plan.window);
 
   est.ipc.resize(ncores);
   for (std::size_t c = 0; c < ncores; ++c) {

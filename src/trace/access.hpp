@@ -77,6 +77,28 @@ class AccessGenerator {
     }
   }
 
+  /// Writes the stream's next references to `out`, up to and including the
+  /// first one at which their retired instructions (gap+1 each) reach
+  /// `instr_budget`, but at most `max_refs`; returns how many. Exactly what
+  /// that many next() calls would return, leaving the generator in the same
+  /// state, so a producer can stop a batch at a sampling boundary. A budget
+  /// of 0 writes nothing. The default calls next() and reports a failure
+  /// part-way as FillInterrupted; an override that can fail must do the same.
+  virtual std::size_t fill_until(MemRef* out, std::size_t max_refs,
+                                 std::uint64_t instr_budget) {
+    std::size_t i = 0;
+    std::uint64_t instr = 0;
+    try {
+      for (; i < max_refs && instr < instr_budget; ++i) {
+        out[i] = next();
+        instr += static_cast<std::uint64_t>(out[i].gap) + 1;
+      }
+    } catch (...) {
+      throw FillInterrupted{i, std::current_exception()};
+    }
+    return i;
+  }
+
   /// Advance the stream past ~`n_instr` retired instructions (each MemRef
   /// covers gap+1 of them) without materialising references. Default pulls
   /// and discards; InstructionMixer overrides with an expected-count jump.

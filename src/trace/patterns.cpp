@@ -419,6 +419,26 @@ void InstructionMixer::fill(MemRef* out, std::size_t n) {
   }
 }
 
+std::size_t InstructionMixer::fill_until(MemRef* out, std::size_t max_refs,
+                                         std::uint64_t instr_budget) {
+  const bool gaps = mem_ratio_ < 1.0;
+  Rng rng = rng_;
+  std::size_t m = 0;
+  for (std::uint64_t instr = 0; m < max_refs && instr < instr_budget; ++m) {
+    out[m].is_store = rng.chance(store_ratio_);
+    out[m].gap = gaps ? gap_of(rng() >> 11) : 0;
+    instr += static_cast<std::uint64_t>(out[m].gap) + 1;
+  }
+  block_t blocks[kFillBatch];
+  for (std::size_t i = 0; i < m; i += kFillBatch) {
+    const std::size_t b = std::min(m - i, kFillBatch);
+    pattern_->fill_blocks(blocks, b);
+    for (std::size_t j = 0; j < b; ++j) out[i + j].block = blocks[j];
+  }
+  rng_ = rng;
+  return m;
+}
+
 void InstructionMixer::skip(std::uint64_t n_instr) {
   const double due = static_cast<double>(n_instr) * mem_ratio_ + skip_carry_;
   const auto refs = static_cast<std::uint64_t>(due);

@@ -216,6 +216,12 @@ class InstructionMixer final : public AccessGenerator {
                    double store_ratio, std::uint64_t seed);
   MemRef next() override;
   void fill(MemRef* out, std::size_t n) override;
+  /// The gap and store draws come from this mixer's own RNG, independent of
+  /// the block pattern: they are drawn first, on a copy of the RNG, to find
+  /// the count; then the pattern fills that many blocks and the RNG copy is
+  /// committed.
+  std::size_t fill_until(MemRef* out, std::size_t max_refs,
+                         std::uint64_t instr_budget) override;
   /// Statistical: forwards the expected memory-op count `n_instr * mem_ratio`
   /// (fractional carry) to the block pattern; gap/store draws are iid so the
   /// RNG is untouched.

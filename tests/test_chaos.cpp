@@ -156,6 +156,31 @@ TEST(SchedulePlan, InstallFromEnvironment) {
   ::unsetenv("ESTEEM_CHAOS_RANDOM_SEED");
 }
 
+TEST(RandomPlan, EnvironmentCountsAreStrict) {
+  Disarmed cleanup;
+  ::setenv("ESTEEM_CHAOS_RANDOM_SEED", "17", 1);
+  for (const char* name : {"ESTEEM_CHAOS_RATE", "ESTEEM_CHAOS_MAX"}) {
+    SCOPED_TRACE(name);
+    // A suffix, a word, an empty value, a sign, and one past unsigned's range.
+    for (const char* bad : {"3x", "abc", "", "-1", "4294967296"}) {
+      SCOPED_TRACE(bad);
+      ::setenv(name, bad, 1);
+      EXPECT_FALSE(install_from_env());
+      EXPECT_FALSE(armed());
+    }
+    ::setenv(name, "4294967295", 1);
+    EXPECT_TRUE(install_from_env());
+    EXPECT_TRUE(armed());
+    disarm();
+    ::unsetenv(name);
+  }
+  ::setenv("ESTEEM_CHAOS_RANDOM_SEED", "18446744073709551616", 1);
+  EXPECT_FALSE(install_from_env());
+  ::setenv("ESTEEM_CHAOS_RANDOM_SEED", "18446744073709551615", 1);
+  EXPECT_TRUE(install_from_env());
+  ::unsetenv("ESTEEM_CHAOS_RANDOM_SEED");
+}
+
 TEST(RandomPlan, DeterministicPerSeedAndBudgetCapped) {
   const std::vector<std::string> points = {
       "lease.append.write", "lease.append.fsync", "memo.rename",

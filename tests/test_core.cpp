@@ -1,7 +1,8 @@
 // Tests of the core's producer-thread reference pipeline (cpu::RefPrefetcher):
-// a prefetching core consumes exactly the stream an inline core does, a
-// generator failure surfaces at the reference where it happened, and the
-// producer is always joined.
+// a prefetching core consumes exactly the stream an inline core does, also
+// when its producer makes a sampled run's skips (cpu::SamplePlan); a
+// generator failure surfaces at the reference where it happened; a core
+// that leaves its plan is stopped; and the producer is always joined.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,7 +13,9 @@
 #include <unistd.h>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "cpu/system.hpp"
+#include "sampling/sampled_run.hpp"
 #include "sim/experiment.hpp"
 #include "sim/run_cache.hpp"
 #include "trace/file_trace.hpp"
@@ -137,17 +140,29 @@ TEST(Prefetch, SystemRunPrefetchesSyntheticStreamsOnly) {
 
 /// Emits `ok` references and then throws from next(); fill() is the
 /// base-class default, so a failure inside a producer's batch must come out
-/// at the exact reference.
+/// at the exact reference. With `long_every` > 0, reference n's gap is
+/// n % 7, so the consumed instret sequence shows where in the stream a core
+/// is, and every `long_every`-th gap is kLongGap, long enough to carry a
+/// core past several sampling targets at once; otherwise every gap is 3.
+/// skip() is the default too: it pulls references, so it fails as well when
+/// it reaches reference `ok`.
 class FailingGenerator final : public trace::AccessGenerator {
  public:
-  explicit FailingGenerator(std::uint64_t ok) : ok_(ok) {}
+  static constexpr std::uint32_t kLongGap = 2500;
+  explicit FailingGenerator(std::uint64_t ok, std::uint64_t long_every = 0)
+      : ok_(ok), long_every_(long_every) {}
   trace::MemRef next() override {
     if (n_ == ok_) throw std::runtime_error("generator failed at " + std::to_string(n_));
-    return trace::MemRef{n_++ % 4096, 3, false};
+    std::uint32_t gap = 3;
+    if (long_every_ != 0) {
+      gap = n_ % long_every_ == long_every_ - 1 ? kLongGap : static_cast<std::uint32_t>(n_ % 7);
+    }
+    return trace::MemRef{n_++ % 4096, gap, false};
   }
 
  private:
   std::uint64_t ok_;
+  std::uint64_t long_every_;
   std::uint64_t n_ = 0;
 };
 
@@ -205,6 +220,252 @@ TEST(Prefetch, DestroyingASystemMidRunJoinsTheProducers) {
   RunOptions opt;
   opt.instr_per_core = 20'000;
   system.run(opt);
+}
+
+
+// --- Sampled runs: the producer follows the run's SamplePlan. ---
+
+/// A small sampling schedule (several windows in a few hundred thousand
+/// instructions). With `overshoot`, each period's skip is one instruction,
+/// so most segments overshoot the next skip target and no skip is made.
+SamplingConfig small_sampling(bool overshoot) {
+  SamplingConfig sc;
+  sc.enabled = true;
+  sc.window_instr = 2'000;
+  sc.detail_warm_instr = 500;
+  sc.ff_warm_instr = overshoot ? 500 : 5'000;
+  sc.cold_warm_instr = 20'000;
+  sc.period_instr = overshoot ? 3'001 : 50'000;
+  return sc;
+}
+
+/// System(cfg, tech, benchmarks, seed), but every run of it is inline:
+/// System keeps "trace:" replays inline, so it is built over a trace file
+/// and then given the synthetic cores its constructor would have built.
+System inline_system(const SystemConfig& cfg, Technique tech,
+                     const std::vector<std::string>& benchmarks, std::uint64_t seed,
+                     const std::string& trace_path) {
+  System system(cfg, tech, std::vector<std::string>(benchmarks.size(), "trace:" + trace_path),
+                seed);
+  const trace::GeneratorContext ctx{cfg.l2.geom.sets(), cfg.l2.geom.line_bytes};
+  std::uint64_t seed_state = seed;
+  for (std::uint32_t c = 0; c < benchmarks.size(); ++c) {
+    system.cores()[c] =
+        Core(c, trace::make_generator(trace::profile_by_name(benchmarks[c]), ctx,
+                                      splitmix64(seed_state)),
+             static_cast<block_t>(c) << 44);
+  }
+  return system;
+}
+
+std::string temp_trace(const std::string& tag, std::uint64_t refs) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("esteem_test_core_" + tag + "_" + std::to_string(::getpid()) + ".etr"))
+          .string();
+  auto gen = trace::make_generator(trace::profile_by_name("gamess"), {1024, 64}, 11);
+  trace::record_trace(*gen, path, refs);
+  return path;
+}
+
+std::uint64_t sampled_digest(const sampling::SampledRunResult& r) {
+  return sim::outcome_digest(sim::RunOutcome{r.raw, {}, r.estimates});
+}
+
+TEST(Prefetch, SampledRunMatchesInline) {
+  const std::string path = temp_trace("sampled", 100);
+  for (const bool overshoot : {false, true}) {
+    for (const std::uint32_t ncores : {1u, 2u}) {
+      const std::vector<std::string> benchmarks =
+          ncores == 1 ? std::vector<std::string>{"h264ref"}
+                      : std::vector<std::string>{"gobmk", "nekbone"};
+      for (const Technique tech :
+           {Technique::BaselinePeriodicAll, Technique::Esteem, Technique::RefrintRPV}) {
+        SCOPED_TRACE(std::to_string(ncores) + " core(s), technique " +
+                     std::to_string(static_cast<int>(tech)) +
+                     (overshoot ? ", overshooting segments" : ""));
+        const SamplingConfig sc = small_sampling(overshoot);
+        RunOptions opt;
+        opt.instr_per_core = overshoot ? 60'000 : 250'000;
+        opt.warmup_instr_per_core = 30'000;
+        opt.record_timeline = true;
+        System piped(tiny(ncores), tech, benchmarks, 42);
+        System inline_ = inline_system(tiny(ncores), tech, benchmarks, 42, path);
+        const sampling::SampledRunResult a = sampling::run_sampled(piped, opt, sc);
+        const sampling::SampledRunResult b = sampling::run_sampled(inline_, opt, sc);
+        for (std::uint32_t c = 0; c < ncores; ++c) {
+          EXPECT_EQ(piped.cores()[c].prefetching(), std::thread::hardware_concurrency() > 1);
+          EXPECT_FALSE(inline_.cores()[c].prefetching());
+          EXPECT_EQ(piped.cores()[c].instret(), inline_.cores()[c].instret());
+          EXPECT_EQ(piped.cores()[c].cycles(), inline_.cores()[c].cycles());
+        }
+        EXPECT_EQ(a.raw.wall_cycles, b.raw.wall_cycles);
+        EXPECT_EQ(a.estimates.windows, b.estimates.windows);
+        EXPECT_GT(a.raw.timeline.size(), 0u);
+        // Every field the memo cache stores, estimates included, bit for bit.
+        EXPECT_EQ(sampled_digest(a), sampled_digest(b));
+      }
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Prefetch, SampledRunKeepsTraceReplaysInline) {
+  const std::string path = temp_trace("sampled_only", 1000);
+  System system(tiny(2), Technique::Esteem, {"gamess", "trace:" + path}, 1);
+  RunOptions opt;
+  opt.instr_per_core = 250'000;
+  opt.warmup_instr_per_core = 30'000;
+  sampling::run_sampled(system, opt, small_sampling(false));
+  EXPECT_EQ(system.cores()[0].prefetching(), std::thread::hardware_concurrency() > 1);
+  EXPECT_FALSE(system.cores()[1].prefetching());
+  std::filesystem::remove(path);
+}
+
+/// One core's run of a plan, as sampling::run_sampled drives it: its
+/// (instret, cycles) after every step and skip, how many skips it made and
+/// how many it found already passed, and the failure that stopped it.
+struct PlanRun {
+  std::vector<std::pair<instr_t, cycle_t>> points;
+  std::uint64_t skips = 0;
+  std::uint64_t passed = 0;
+  std::string failure;
+};
+
+PlanRun follow_plan(Core& core, MemorySystem& mem, const SamplePlan& plan) {
+  PlanRun run;
+  const auto skip_to = [&](instr_t target) {
+    if (core.instret() < target) {
+      core.skip(target - core.instret(), 1.25);
+      ++run.skips;
+    } else {
+      ++run.passed;
+    }
+    run.points.emplace_back(core.instret(), core.cycles());
+  };
+  const auto run_to = [&](instr_t target) {
+    while (core.instret() < target) {
+      core.step(mem);
+      run.points.emplace_back(core.instret(), core.cycles());
+    }
+  };
+  try {
+    if (plan.warm_skip > 0) skip_to(plan.warm_skip);
+    run_to(plan.warmup);
+    const instr_t base = core.instret();
+    for (std::uint64_t k = 0; k < plan.nwindows; ++k) {
+      skip_to(plan.skip_target(base, k));
+      run_to(plan.skip_target(base, k) + plan.span());
+    }
+    skip_to(plan.end(base));
+  } catch (const std::runtime_error& e) {
+    run.failure = e.what();
+  }
+  return run;
+}
+
+/// Plans over FailingGenerator streams (gaps 0-6, every 331st 2500
+/// instructions): the first has windows of about a hundred
+/// references, so long gaps carry a core past whole periods; the second
+/// has windows longer than the ring, so chunks also end mid-window.
+std::vector<SamplePlan> generator_plans() {
+  SamplingConfig shortw = small_sampling(false);
+  shortw.window_instr = 300;
+  shortw.detail_warm_instr = 100;
+  shortw.ff_warm_instr = 100;
+  shortw.cold_warm_instr = 2'000;
+  shortw.period_instr = 1'000;
+  SamplingConfig longw = shortw;
+  longw.window_instr = 40'000;
+  longw.period_instr = 60'000;
+  return {make_sample_plan(shortw, 600'000, 20'000),
+          make_sample_plan(longw, 600'000, 20'000)};
+}
+
+TEST(Prefetch, PlannedSkipsMatchInlineWhereSegmentsOvershoot) {
+  for (const SamplePlan& plan : generator_plans()) {
+    SCOPED_TRACE(plan.period);
+    MemorySystem mem_a(tiny(), Technique::BaselinePeriodicAll);
+    MemorySystem mem_b(tiny(), Technique::BaselinePeriodicAll);
+    Core piped(0, std::make_unique<FailingGenerator>(~0ULL, 331), 0);
+    Core inline_(0, std::make_unique<FailingGenerator>(~0ULL, 331), 0);
+    piped.start_prefetch(&plan);
+    ASSERT_TRUE(piped.prefetching());
+    const PlanRun a = follow_plan(piped, mem_a, plan);
+    const PlanRun b = follow_plan(inline_, mem_b, plan);
+    EXPECT_EQ(a.failure, "");
+    EXPECT_EQ(a.skips, b.skips);
+    EXPECT_EQ(a.passed, b.passed);
+    EXPECT_TRUE(a.points == b.points);
+    EXPECT_GT(a.points.size(), 2 * RefPrefetcher::kChunks * RefPrefetcher::kChunkRefs);
+    // Both branches ran: skips made, and targets a segment had overshot.
+    EXPECT_GT(a.skips, 10u);
+    if (plan.period == 1'000) EXPECT_GT(a.passed, 10u);
+    // The producer stopped after the tail skip: nothing follows.
+    EXPECT_THROW(piped.step(mem_a), std::logic_error);
+  }
+}
+
+TEST(Prefetch, GeneratorFailureMidPlanSurfacesAtTheSameReference) {
+  constexpr std::uint64_t kChunk = RefPrefetcher::kChunkRefs;
+  const SamplePlan plan = generator_plans()[1];
+  // In the warm-up skip (which pulls references), the warm tail, a window,
+  // a period's skip, and around chunk boundaries.
+  for (const std::uint64_t ok :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2'000}, kChunk - 1, kChunk,
+        kChunk + 1, std::uint64_t{9'000}, std::uint64_t{20'000}, std::uint64_t{40'000}}) {
+    SCOPED_TRACE(ok);
+    MemorySystem mem_a(tiny(), Technique::BaselinePeriodicAll);
+    MemorySystem mem_b(tiny(), Technique::BaselinePeriodicAll);
+    Core piped(0, std::make_unique<FailingGenerator>(ok, 331), 0);
+    Core inline_(0, std::make_unique<FailingGenerator>(ok, 331), 0);
+    piped.start_prefetch(&plan);
+    const PlanRun a = follow_plan(piped, mem_a, plan);
+    const PlanRun b = follow_plan(inline_, mem_b, plan);
+    EXPECT_EQ(a.failure, "generator failed at " + std::to_string(ok));
+    EXPECT_EQ(a.failure, b.failure);
+    EXPECT_EQ(a.skips, b.skips);
+    EXPECT_TRUE(a.points == b.points);
+    // The failure sticks, whether the core steps or skips next.
+    EXPECT_THROW(piped.step(mem_a), std::runtime_error);
+    EXPECT_THROW(piped.skip(10, 1.0), std::runtime_error);
+  }
+}
+
+TEST(Prefetch, LeavingThePlanThrows) {
+  const SamplePlan plan = generator_plans()[0];
+  MemorySystem mem(tiny(), Technique::BaselinePeriodicAll);
+  const auto planned = [&plan] {
+    auto core = std::make_unique<Core>(0, std::make_unique<FailingGenerator>(~0ULL), 0);
+    core->start_prefetch(&plan);
+    return core;
+  };
+  ASSERT_GT(plan.warm_skip, 0u);
+  {  // a reference where the plan skips first
+    auto core = planned();
+    ASSERT_TRUE(core->prefetching());
+    EXPECT_THROW(core->step(mem), std::logic_error);
+  }
+  {  // a skip of another size
+    auto core = planned();
+    EXPECT_THROW(core->skip(plan.warm_skip - 1, 1.0), std::logic_error);
+  }
+  {  // a skip with references left before it
+    auto core = planned();
+    core->skip(plan.warm_skip, 1.0);
+    core->step(mem);
+    EXPECT_THROW(core->skip(10, 1.0), std::logic_error);
+  }
+  {  // a skip where the plan makes none
+    auto core = planned();
+    core->skip(plan.warm_skip, 1.0);
+    EXPECT_THROW(core->skip(plan.warm_skip, 1.0), std::logic_error);
+  }
+  {  // a plan on a core that already ran
+    Core core(0, std::make_unique<FailingGenerator>(~0ULL), 0);
+    core.step(mem);
+    EXPECT_THROW(core.start_prefetch(&plan), std::logic_error);
+  }
 }
 
 }  // namespace

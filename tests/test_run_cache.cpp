@@ -305,6 +305,13 @@ std::vector<CanaryCase> canary_cases() {
   sampled.config.sampling.period_instr = 50'000;
   sampled.instr_per_core = 300'000;
   cases.push_back({"sampled-esteem", sampled});
+
+  // The sampling executor's multicore path: per-core segment targets and
+  // clock alignment at every boundary.
+  RunSpec sampled_dual = sampled;
+  sampled_dual.config.ncores = 2;
+  sampled_dual.workload = {"GkNe", {"gobmk", "namd"}};
+  cases.push_back({"sampled-dual-esteem", sampled_dual});
   return cases;
 }
 
@@ -318,6 +325,7 @@ TEST(ModelCanary, OutcomeDigestsPinnedPerMemoVersion) {
            {"rpv", 0xC5244B6FC83C85C9ULL},
            {"dual-esteem", 0x91A832EE3D8615BCULL},
            {"sampled-esteem", 0x8629C9AD77E705CAULL},
+           {"sampled-dual-esteem", 0xB160F339211C1B7CULL},
        }},
   };
   const auto version = pinned.find(kMemoFormatVersion);

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -432,6 +433,91 @@ TEST(BatchApi, FillMatchesNextForEveryProfile) {
     auto batched = make_generator(p, kCtx, seed);
     EXPECT_GE(compare_streams(*single, *batched, schedule), 120'000u);
   }
+}
+
+/// next() over a reference generator, with lookahead.
+class Lookahead {
+ public:
+  explicit Lookahead(AccessGenerator& gen) : gen_(gen) {}
+  MemRef next() {
+    if (ahead_.empty()) return gen_.next();
+    const MemRef r = ahead_.front();
+    ahead_.pop_front();
+    return r;
+  }
+  const MemRef& peek(std::size_t i) {
+    while (ahead_.size() <= i) ahead_.push_back(gen_.next());
+    return ahead_[i];
+  }
+  /// Skips only at the generator's own position (nothing looked ahead).
+  bool skip(std::uint64_t n) {
+    if (!ahead_.empty()) return false;
+    gen_.skip(n);
+    return true;
+  }
+
+ private:
+  AccessGenerator& gen_;
+  std::deque<MemRef> ahead_;
+};
+
+// fill_until must write exactly the next() stream and stop at the first
+// reference whose gap+1 sum reaches the budget (or at max_refs): the
+// sampled-run producer ends its chunks at sampling boundaries with it.
+TEST(BatchApi, FillUntilMatchesNextForEveryProfile) {
+  std::uint64_t seed = 100;
+  std::size_t inside_long_gap = 0;
+  for (const auto& p : all_profiles()) {
+    SCOPED_TRACE(p.name);
+    auto single = make_generator(p, kCtx, ++seed);
+    auto batched = make_generator(p, kCtx, seed);
+    Lookahead ref(*single);
+    Rng rng(seed);
+    std::vector<MemRef> buf(4096);
+    EXPECT_EQ(batched->fill_until(buf.data(), 4096, 0), 0u);
+    std::size_t compared = 0;
+    while (compared < 60'000) {
+      const std::uint64_t roll = rng.below(10);
+      if (roll == 0) {
+        const std::uint64_t n = rng.below(50'000);
+        if (ref.skip(n)) batched->skip(n);
+        continue;
+      }
+      std::size_t max_refs = 1 + static_cast<std::size_t>(rng.below(4096));
+      std::uint64_t budget = roll == 1   ? 1
+                             : roll < 5 ? 1 + rng.below(64)
+                                        : 1 + rng.below(100'000);
+      if (roll == 9) {
+        // A budget that ends strictly inside the first long gap ahead.
+        std::uint64_t before = 0;
+        for (std::size_t i = 0; i < 256; ++i) {
+          const MemRef& r = ref.peek(i);
+          if (r.gap >= 8) {
+            budget = before + r.gap / 2 + 1;
+            max_refs = 4096;
+            ++inside_long_gap;
+            break;
+          }
+          before += static_cast<std::uint64_t>(r.gap) + 1;
+        }
+      }
+      const std::size_t n = batched->fill_until(buf.data(), max_refs, budget);
+      ASSERT_GE(n, 1u);
+      ASSERT_LE(n, max_refs);
+      std::uint64_t instr = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_LT(instr, budget) << "reference " << i << " of " << n << " is past the budget";
+        const MemRef want = ref.next();
+        ASSERT_TRUE(same(want, buf[i]))
+            << "reference " << compared + i << " differs: block " << buf[i].block << " vs "
+            << want.block << ", gap " << buf[i].gap << " vs " << want.gap;
+        instr += static_cast<std::uint64_t>(buf[i].gap) + 1;
+      }
+      if (n < max_refs) ASSERT_GE(instr, budget) << "stopped short of the budget";
+      compared += n;
+    }
+  }
+  EXPECT_GT(inside_long_gap, 100u);
 }
 
 TEST(BatchApi, FillIsExactAcrossPhaseBoundaries) {

@@ -2,7 +2,8 @@
 //
 //   esteem_validate --check                 score the figure matrix against
 //                                           validation/golden.json (exit 1
-//                                           on drift or shape failure)
+//                                           on drift or shape failure, 2 if
+//                                           the golden file is unreadable)
 //   esteem_validate --update-golden         re-record the golden entry for
 //                                           the current scale (prints the
 //                                           diff it is about to commit)
@@ -37,8 +38,8 @@
 // engages and the paper's ordering inverts (see EXPERIMENTS.md).
 // Drift-vs-golden is gated at every scale.
 //
-// Exit codes: 0 pass, 1 check failed, 2 usage error, 4 runtime error,
-// 5 interrupted.
+// Exit codes: 0 pass, 1 check failed, 2 usage error (also an unreadable or
+// malformed --golden file under --check), 4 runtime error, 5 interrupted.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -197,13 +198,14 @@ std::vector<FigureResult> run_matrix(const Options& opt, const ScaleSpec& scale,
 }
 
 int do_check(const Options& opt, const ScaleSpec& scale) {
+  // An unreadable or malformed golden file fails before any figure runs; a
+  // readable one without this scale's entry is scored as drift.
   GoldenFile golden;
-  bool have_golden = false;
   try {
     golden = load_golden(opt.golden_path);
-    have_golden = true;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "warning: %s\n", e.what());
+    std::fprintf(stderr, "esteem_validate: %s\n", e.what());
+    return 2;
   }
 
   bool interrupted = false;
@@ -214,8 +216,7 @@ int do_check(const Options& opt, const ScaleSpec& scale) {
     return resilience::kExitInterrupted;
   }
   const bool paper_checks = scale.label == "bench" || scale.label == "paper";
-  const Scorecard card = build_scorecard(results, have_golden ? &golden : nullptr,
-                                         paper_checks);
+  const Scorecard card = build_scorecard(results, &golden, paper_checks);
   std::fputs(scorecard_text(card).c_str(), stdout);
   if (!card.pass()) {
     std::fprintf(stdout,
