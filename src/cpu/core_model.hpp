@@ -44,7 +44,8 @@ class Core {
   /// On a prefetching core the producer already made this skip, where its
   /// plan said: the core consumes the skip's marker, and throws
   /// std::logic_error if references remain before it, or the plan makes no
-  /// skip of `n` here (a core prefetching without a plan never skips).
+  /// skip of `n` here (a core prefetching without a plan never skips); a
+  /// refused skip leaves the stream as it was.
   void skip(instr_t n, double cpi);
 
   /// Sampling functional warming: executes the next batch against the

@@ -56,6 +56,7 @@ void RefPrefetcher::produce() {
 
 void RefPrefetcher::fill(Chunk& chunk) {
   if (!plan_) {
+    // No stops: whole chunks through fill, which skips the budget check.
     generator_.fill(chunk.refs.data(), kChunkRefs);
     chunk.count = kChunkRefs;
     return;
@@ -102,13 +103,11 @@ void RefPrefetcher::pass_stop(Chunk& chunk) {
   }
 }
 
-std::span<const trace::MemRef> RefPrefetcher::advance() {
+const RefPrefetcher::Chunk& RefPrefetcher::peek() {
   if (taken_ > 0) {
     const Chunk& held = ring_[(taken_ - 1) % kChunks];
     if (held.error) std::rethrow_exception(held.error);
     if (held.last) throw std::logic_error("RefPrefetcher: the sampling plan's stream has ended");
-    released_.store(taken_, std::memory_order_release);
-    released_.notify_one();
   }
   std::uint32_t produced = produced_.load(std::memory_order_acquire);
   if (produced == taken_) {
@@ -119,37 +118,54 @@ std::span<const trace::MemRef> RefPrefetcher::advance() {
     } while (produced == taken_);
   }
   const Chunk& chunk = ring_[taken_ % kChunks];
-  ++taken_;
   if (chunk.count == 0 && chunk.error) std::rethrow_exception(chunk.error);
+  return chunk;
+}
+
+std::span<const trace::MemRef> RefPrefetcher::take() {
+  if (taken_ > 0) {
+    released_.store(taken_, std::memory_order_release);
+    released_.notify_one();
+  }
+  const Chunk& chunk = ring_[taken_ % kChunks];
+  ++taken_;
   held_skip_ = chunk.skip;
   return {chunk.refs.data(), chunk.count};
 }
 
 std::span<const trace::MemRef> RefPrefetcher::next_chunk() {
-  if (held_skip_ == 0) {
-    const std::span<const trace::MemRef> chunk = advance();
-    if (!chunk.empty()) return chunk;
+  std::uint64_t skip = held_skip_;
+  if (skip == 0) {
+    const Chunk& next = peek();
+    if (next.count > 0) return take();
     // Only the plan's last chunk can be empty without a skip.
-    if (held_skip_ == 0) {
+    if (next.skip == 0) {
       throw std::logic_error("RefPrefetcher: the sampling plan's stream has ended");
     }
+    skip = next.skip;
   }
-  throw std::logic_error("RefPrefetcher: the sampling plan skips " +
-                         std::to_string(held_skip_) +
+  throw std::logic_error("RefPrefetcher: the sampling plan skips " + std::to_string(skip) +
                          " instructions before the next reference");
 }
 
 void RefPrefetcher::take_skip(std::uint64_t n) {
+  // Look before taking, so that a refused skip leaves the stream as it was.
   // A chunk of references ends where its skip is due; a stream that opens
   // with a skip publishes it on an empty first chunk.
-  if (held_skip_ == 0 && !advance().empty()) {
-    throw std::logic_error("RefPrefetcher: no skip is due here, references come first");
+  std::uint64_t due = held_skip_;
+  if (due == 0) {
+    const Chunk& next = peek();
+    if (next.count > 0 || next.skip == 0) {
+      throw std::logic_error("RefPrefetcher: no skip is due here");
+    }
+    due = next.skip;
   }
-  if (held_skip_ != n) {
+  if (due != n) {
     throw std::logic_error("RefPrefetcher: a skip of " + std::to_string(n) +
                            " instructions where the sampling plan skips " +
-                           std::to_string(held_skip_));
+                           std::to_string(due));
   }
+  if (held_skip_ == 0) take();
   held_skip_ = 0;
 }
 

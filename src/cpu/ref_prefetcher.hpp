@@ -53,13 +53,15 @@ class RefPrefetcher {
   /// The stream's next chunk; hands the previous one back to the producer.
   /// When the generator failed, the references before the failure come out
   /// first, and then this call rethrows the failure (and keeps doing so).
-  /// Throws std::logic_error where the plan skips first, or after its end.
+  /// Throws std::logic_error where the plan skips first, or after its end;
+  /// either leaves the stream as it was.
   std::span<const trace::MemRef> next_chunk();
 
   /// Consumes the plan's skip of `n` instructions, due once every reference
   /// handed out so far is consumed; the producer has already made it.
-  /// Throws std::logic_error if no skip is due here or it is not `n`, and
-  /// rethrows a generator failure at this point of the stream.
+  /// Throws std::logic_error, leaving the stream as it was, if no skip is
+  /// due here or it is not `n`; rethrows a generator failure at this point
+  /// of the stream.
   void take_skip(std::uint64_t n);
 
  private:
@@ -77,8 +79,13 @@ class RefPrefetcher {
   /// At a stop: makes the skip the plan makes there (if the stream is short
   /// of its target, marking `chunk` with it) and moves on to the next stop.
   void pass_stop(Chunk& chunk);
-  /// Hands out the next chunk, empty or not.
-  std::span<const trace::MemRef> advance();
+  /// The next chunk, once produced, without taking it. Rethrows a generator
+  /// failure at this point of the stream, and throws std::logic_error after
+  /// the plan's end.
+  const Chunk& peek();
+  /// Hands out the chunk peek() returned, empty or not, and hands the held
+  /// one back to the producer.
+  std::span<const trace::MemRef> take();
 
   trace::AccessGenerator& generator_;
   const std::optional<SamplePlan> plan_;

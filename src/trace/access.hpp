@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <limits>
 
 #include "common/types.hpp"
 
@@ -50,9 +51,9 @@ class BlockPattern {
   }
 };
 
-/// Thrown by AccessGenerator::fill when a reference cannot be produced:
-/// the batch's first `done` references were written, and `cause` is what
-/// producing the next one threw.
+/// Thrown by AccessGenerator::fill_until (and fill) when a reference cannot
+/// be produced: the batch's first `done` references were written, and
+/// `cause` is what producing the next one threw.
 struct FillInterrupted {
   std::size_t done = 0;
   std::exception_ptr cause;
@@ -63,19 +64,6 @@ class AccessGenerator {
  public:
   virtual ~AccessGenerator() = default;
   virtual MemRef next() = 0;
-
-  /// Writes the next `n` references to `out`: exactly what `n` next() calls
-  /// would return, leaving the generator in the same state. The default
-  /// calls next() and reports a failure part-way as FillInterrupted; an
-  /// override that can fail must do the same.
-  virtual void fill(MemRef* out, std::size_t n) {
-    std::size_t i = 0;
-    try {
-      for (; i < n; ++i) out[i] = next();
-    } catch (...) {
-      throw FillInterrupted{i, std::current_exception()};
-    }
-  }
 
   /// Writes the stream's next references to `out`, up to and including the
   /// first one at which their retired instructions (gap+1 each) reach
@@ -97,6 +85,13 @@ class AccessGenerator {
       throw FillInterrupted{i, std::current_exception()};
     }
     return i;
+  }
+
+  /// Writes the next `n` references to `out`: fill_until without a budget.
+  /// A generator overrides it only where the budget check costs: the
+  /// producer of an exhaustive run fills whole chunks through it.
+  virtual void fill(MemRef* out, std::size_t n) {
+    (void)fill_until(out, n, std::numeric_limits<std::uint64_t>::max());
   }
 
   /// Advance the stream past ~`n_instr` retired instructions (each MemRef

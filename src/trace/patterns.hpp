@@ -215,6 +215,8 @@ class InstructionMixer final : public AccessGenerator {
   InstructionMixer(std::unique_ptr<BlockPattern> pattern, double mem_ratio,
                    double store_ratio, std::uint64_t seed);
   MemRef next() override;
+  /// fill_until without the per-reference budget check, which costs an
+  /// exhaustive run's producer measurably (DESIGN.md §7 item 4).
   void fill(MemRef* out, std::size_t n) override;
   /// The gap and store draws come from this mixer's own RNG, independent of
   /// the block pattern: they are drawn first, on a copy of the RNG, to find

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -201,10 +202,22 @@ TEST(Prefetch, GeneratorFailureSurfacesAtTheSameReference) {
 }
 
 TEST(Prefetch, SkipThrowsOncePrefetching) {
-  Core core(0, trace::make_generator(trace::profile_by_name("mcf"), {1024, 64}, 3), 0);
-  core.skip(1000, 1.0);  // fine inline
-  core.start_prefetch();
-  EXPECT_THROW(core.skip(1000, 1.0), std::logic_error);
+  System piped(tiny(), Technique::Esteem, {"mcf"}, 3);
+  System inline_(tiny(), Technique::Esteem, {"mcf"}, 3);
+  Core& a = piped.cores()[0];
+  Core& b = inline_.cores()[0];
+  a.skip(1000, 1.0);  // fine inline
+  b.skip(1000, 1.0);
+  a.start_prefetch();
+  ASSERT_TRUE(a.prefetching());
+  EXPECT_THROW(a.skip(1000, 1.0), std::logic_error);
+  // The refused skip left the stream as it was.
+  for (std::size_t i = 0; i < 2 * RefPrefetcher::kChunkRefs; ++i) {
+    a.step(piped.memory());
+    b.step(inline_.memory());
+    ASSERT_EQ(a.cycles(), b.cycles()) << "step " << i;
+    ASSERT_EQ(a.instret(), b.instret()) << "step " << i;
+  }
 }
 
 TEST(Prefetch, DestroyingASystemMidRunJoinsTheProducers) {
@@ -400,7 +413,9 @@ TEST(Prefetch, PlannedSkipsMatchInlineWhereSegmentsOvershoot) {
     EXPECT_GT(a.points.size(), 2 * RefPrefetcher::kChunks * RefPrefetcher::kChunkRefs);
     // Both branches ran: skips made, and targets a segment had overshot.
     EXPECT_GT(a.skips, 10u);
-    if (plan.period == 1'000) EXPECT_GT(a.passed, 10u);
+    if (plan.period == 1'000) {
+      EXPECT_GT(a.passed, 10u);
+    }
     // The producer stopped after the tail skip: nothing follows.
     EXPECT_THROW(piped.step(mem_a), std::logic_error);
   }
@@ -434,34 +449,65 @@ TEST(Prefetch, GeneratorFailureMidPlanSurfacesAtTheSameReference) {
 
 TEST(Prefetch, LeavingThePlanThrows) {
   const SamplePlan plan = generator_plans()[0];
-  MemorySystem mem(tiny(), Technique::BaselinePeriodicAll);
-  const auto planned = [&plan] {
-    auto core = std::make_unique<Core>(0, std::make_unique<FailingGenerator>(~0ULL), 0);
-    core->start_prefetch(&plan);
-    return core;
-  };
   ASSERT_GT(plan.warm_skip, 0u);
-  {  // a reference where the plan skips first
-    auto core = planned();
-    ASSERT_TRUE(core->prefetching());
-    EXPECT_THROW(core->step(mem), std::logic_error);
+  using Action = std::function<void(Core&, MemorySystem&)>;
+  // Each refused call leaves the stream as it was: the core then follows the
+  // plan exactly as an inline core that made the same calls but that one.
+  const auto expect_refused = [&plan](const Action& before, const Action& refused) {
+    MemorySystem mem_a(tiny(), Technique::BaselinePeriodicAll);
+    MemorySystem mem_b(tiny(), Technique::BaselinePeriodicAll);
+    Core piped(0, std::make_unique<FailingGenerator>(~0ULL), 0);
+    Core inline_(0, std::make_unique<FailingGenerator>(~0ULL), 0);
+    piped.start_prefetch(&plan);
+    ASSERT_TRUE(piped.prefetching());
+    before(piped, mem_a);
+    before(inline_, mem_b);
+    EXPECT_THROW(refused(piped, mem_a), std::logic_error);
+    const PlanRun a = follow_plan(piped, mem_a, plan);
+    const PlanRun b = follow_plan(inline_, mem_b, plan);
+    EXPECT_EQ(a.failure, "");
+    EXPECT_TRUE(a.points == b.points);
+  };
+  const Action start = [](Core&, MemorySystem&) {};
+  const Action warm_skip = [&plan](Core& core, MemorySystem&) { core.skip(plan.warm_skip, 1.0); };
+  const Action warmed = [&plan](Core& core, MemorySystem& mem) {
+    core.skip(plan.warm_skip, 1.0);
+    while (core.instret() < plan.warmup) core.step(mem);
+  };
+  {
+    SCOPED_TRACE("a reference where the plan skips first");
+    expect_refused(start, [](Core& core, MemorySystem& mem) { core.step(mem); });
   }
-  {  // a skip of another size
-    auto core = planned();
-    EXPECT_THROW(core->skip(plan.warm_skip - 1, 1.0), std::logic_error);
+  {
+    SCOPED_TRACE("a skip of another size");
+    expect_refused(start, [&plan](Core& core, MemorySystem&) {
+      core.skip(plan.warm_skip - 1, 1.0);
+    });
   }
-  {  // a skip with references left before it
-    auto core = planned();
-    core->skip(plan.warm_skip, 1.0);
-    core->step(mem);
-    EXPECT_THROW(core->skip(10, 1.0), std::logic_error);
+  {
+    SCOPED_TRACE("a skip of another size after references");
+    expect_refused(warmed, [&plan](Core& core, MemorySystem&) {
+      const instr_t base = core.instret();
+      core.skip(plan.skip_target(base, 0) - base + 1, 1.0);
+    });
   }
-  {  // a skip where the plan makes none
-    auto core = planned();
-    core->skip(plan.warm_skip, 1.0);
-    EXPECT_THROW(core->skip(plan.warm_skip, 1.0), std::logic_error);
+  {
+    SCOPED_TRACE("a skip with references left before it");
+    expect_refused(
+        [&plan](Core& core, MemorySystem& mem) {
+          core.skip(plan.warm_skip, 1.0);
+          core.step(mem);
+        },
+        [](Core& core, MemorySystem&) { core.skip(10, 1.0); });
+  }
+  {
+    SCOPED_TRACE("a skip where the plan makes none");
+    expect_refused(warm_skip, [&plan](Core& core, MemorySystem&) {
+      core.skip(plan.warm_skip, 1.0);
+    });
   }
   {  // a plan on a core that already ran
+    MemorySystem mem(tiny(), Technique::BaselinePeriodicAll);
     Core core(0, std::make_unique<FailingGenerator>(~0ULL), 0);
     core.step(mem);
     EXPECT_THROW(core.start_prefetch(&plan), std::logic_error);

@@ -513,7 +513,9 @@ TEST(BatchApi, FillUntilMatchesNextForEveryProfile) {
             << want.block << ", gap " << buf[i].gap << " vs " << want.gap;
         instr += static_cast<std::uint64_t>(buf[i].gap) + 1;
       }
-      if (n < max_refs) ASSERT_GE(instr, budget) << "stopped short of the budget";
+      if (n < max_refs) {
+        ASSERT_GE(instr, budget) << "stopped short of the budget";
+      }
       compared += n;
     }
   }
