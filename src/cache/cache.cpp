@@ -22,44 +22,25 @@ SetAssocCache::SetAssocCache(const CacheParams& params, std::string name)
   state_.assign(sets_, SetState{0, 0, 0, ways_});
 }
 
-std::uint64_t SetAssocCache::match_mask(std::uint32_t set, block_t blk) const noexcept {
-  const SetState& st = state_[set];
-  const Slot* slot = &slots_[idx(set, 0)];
-  std::uint64_t match = 0;
-  for (std::uint32_t w = 0; w < st.active; ++w) {
-    match |= static_cast<std::uint64_t>(slot[w].block == blk) << w;
-  }
-  return match & st.valid;
-}
-
-AccessOutcome SetAssocCache::access(block_t blk, bool is_store, cycle_t now) {
-  AccessOutcome out;
-  const std::uint32_t set = set_index_of(blk);
+AccessOutcome SetAssocCache::access_slow(std::uint32_t set, std::uint64_t match,
+                                         block_t blk, bool is_store, cycle_t now) {
   SetState& st = state_[set];
   Slot* slot = &slots_[idx(set, 0)];
-
-  const std::uint64_t match = match_mask(set, blk);
   if (match != 0) {
+    // Recency position: count valid lines touched more recently. Computed
+    // only when a consumer (the ESTEEM leader-set profiler) asked for it.
     const auto way = static_cast<std::uint32_t>(std::countr_zero(match));
-    out.hit = true;
-    out.way = way;
-    if (track_lru_) {
-      // Recency position: count valid lines touched more recently. Computed
-      // only when a consumer (the ESTEEM leader-set profiler) asked for it.
-      std::uint32_t pos = 0;
-      const std::uint64_t my_stamp = slot[way].stamp;
-      for (std::uint64_t m = st.valid & ~bit(way); m != 0; m &= m - 1) {
-        pos += slot[std::countr_zero(m)].stamp > my_stamp ? 1 : 0;
-      }
-      out.lru_pos = pos;
+    std::uint32_t pos = 0;
+    const std::uint64_t my_stamp = slot[way].stamp;
+    for (std::uint64_t m = st.valid & ~bit(way); m != 0; m &= m - 1) {
+      pos += slot[std::countr_zero(m)].stamp > my_stamp ? 1 : 0;
     }
-    slot[way].stamp = ++stamp_counter_;
-    if (is_store) st.dirty |= bit(way);
-    ++stats_.hits;
-    if (touch_listener_ != nullptr) touch_listener_->on_touch(set, way, now);
+    AccessOutcome out = touch(set, way, is_store, now);
+    out.lru_pos = pos;
     return out;
   }
 
+  AccessOutcome out;
   ++stats_.misses;
   // Victim: the first usable invalid way among the active ones (disabled
   // slots are never allocated), else the LRU valid line. Only a full set

@@ -3,6 +3,7 @@
 // line-lifecycle listener hook that the eDRAM refresh policies subscribe to.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -75,8 +76,17 @@ class SetAssocCache {
   const std::string& name() const noexcept { return name_; }
 
   /// Lookup + allocate-on-miss. Victim selection prefers an invalid slot,
-  /// else the LRU valid line, among the set's active ways.
-  AccessOutcome access(block_t blk, bool is_store, cycle_t now);
+  /// else the LRU valid line, among the set's active ways. A hit without
+  /// LRU-position tracking (every L1 access) completes here, inline; misses
+  /// and tracked hits go out of line.
+  AccessOutcome access(block_t blk, bool is_store, cycle_t now) {
+    const std::uint32_t set = set_index_of(blk);
+    const std::uint64_t match = match_mask(set, blk);
+    if (match != 0 && !track_lru_) {
+      return touch(set, static_cast<std::uint32_t>(std::countr_zero(match)), is_store, now);
+    }
+    return access_slow(set, match, blk, is_store, now);
+  }
 
   /// Probe without side effects.
   bool contains(block_t blk) const noexcept;
@@ -169,7 +179,32 @@ class SetAssocCache {
     return static_cast<std::size_t>(set) * ways_ + way;
   }
   /// Bit w set iff way w < active holds `blk` and is valid (at most one bit).
-  std::uint64_t match_mask(std::uint32_t set, block_t blk) const noexcept;
+  std::uint64_t match_mask(std::uint32_t set, block_t blk) const noexcept {
+    const SetState& st = state_[set];
+    const Slot* slot = &slots_[idx(set, 0)];
+    std::uint64_t match = 0;
+    for (std::uint32_t w = 0; w < st.active; ++w) {
+      match |= static_cast<std::uint64_t>(slot[w].block == blk) << w;
+    }
+    return match & st.valid;
+  }
+
+  /// The hit's state update: recency stamp, dirty bit, stats, listener.
+  AccessOutcome touch(std::uint32_t set, std::uint32_t way, bool is_store, cycle_t now) {
+    slots_[idx(set, way)].stamp = ++stamp_counter_;
+    if (is_store) state_[set].dirty |= bit(way);
+    ++stats_.hits;
+    if (touch_listener_ != nullptr) touch_listener_->on_touch(set, way, now);
+    AccessOutcome out;
+    out.hit = true;
+    out.way = way;
+    return out;
+  }
+
+  /// access() past the inline fast path: a miss (`match` == 0) or a hit
+  /// whose LRU position is tracked.
+  AccessOutcome access_slow(std::uint32_t set, std::uint64_t match, block_t blk,
+                            bool is_store, cycle_t now);
 
   std::uint32_t sets_;
   std::uint32_t ways_;

@@ -12,17 +12,17 @@ Core::Core(std::uint32_t id, std::unique_ptr<trace::AccessGenerator> generator,
   if (!generator_) throw std::invalid_argument("Core: null generator");
 }
 
-void Core::step(MemorySystem& mem) {
-  const trace::MemRef ref = next_ref();
-  cycles_ += ref.gap;  // one cycle per non-memory instruction
-  instret_ += ref.gap;
-  const cycle_t latency = mem.access(id_, ref.block + block_offset_, ref.is_store, cycles_);
-  cycles_ += latency;
-  ++instret_;
+Core::Core(std::uint32_t id, block_t block_offset) : id_(id), block_offset_(block_offset) {}
+
+void Core::feed(std::span<const trace::MemRef> refs) {
+  if (generator_) throw std::logic_error("Core::feed: the core has a generator of its own");
+  if (cur_ != end_) throw std::logic_error("Core::feed: fed references remain unconsumed");
+  cur_ = refs.data();
+  end_ = cur_ + refs.size();
 }
 
 void Core::start_prefetch(const SamplePlan* plan) {
-  if (prefetch_) return;
+  if (prefetch_ || !generator_) return;
   if (plan != nullptr && instret_ != 0) {
     throw std::logic_error("Core::start_prefetch: a sampling plan starts at the stream's start");
   }
@@ -35,6 +35,7 @@ void Core::start_prefetch(const SamplePlan* plan) {
 }
 
 trace::MemRef Core::next_chunk() {
+  if (!prefetch_) throw std::logic_error("Core: a fed core stepped past the references fed to it");
   const std::span<const trace::MemRef> chunk = prefetch_->next_chunk();
   cur_ = chunk.data();
   end_ = cur_ + chunk.size();
@@ -49,7 +50,9 @@ void Core::advance_clock(instr_t n, double cpi) {
 }
 
 void Core::skip(instr_t n, double cpi) {
-  if (!prefetch_) {
+  if (!generator_) {
+    throw std::logic_error("Core::skip: a fed core has no generator to skip");
+  } else if (!prefetch_) {
     generator_->skip(n);
   } else if (cur_ != end_) {
     throw std::logic_error("Core::skip: " + std::to_string(end_ - cur_) +

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "common/types.hpp"
 #include "cpu/memory_system.hpp"
@@ -23,16 +24,39 @@ class Core {
   /// runs (each Table 1 pair runs two independent benchmarks).
   Core(std::uint32_t id, std::unique_ptr<trace::AccessGenerator> generator,
        block_t block_offset);
+  /// A fed core: it has no generator of its own and steps through the
+  /// references handed to it by feed() (a fused group's shared stream,
+  /// cpu::run_fused).
+  Core(std::uint32_t id, block_t block_offset);
 
   /// Executes the next (gap, memory-op) batch; advances the local clock.
-  void step(MemorySystem& mem);
+  /// Inline: the L1-hit path of MemorySystem::access completes in the caller.
+  void step(MemorySystem& mem) {
+    const trace::MemRef ref = next_ref();
+    cycles_ += ref.gap;  // one cycle per non-memory instruction
+    instret_ += ref.gap;
+    const cycle_t latency = mem.access(id_, ref.block + block_offset_, ref.is_store, cycles_);
+    cycles_ += latency;
+    ++instret_;
+  }
+
+  /// Hands a fed core its next references; they must outlive their
+  /// consumption. Throws std::logic_error on a core with a generator, or
+  /// while earlier references are still unconsumed.
+  void feed(std::span<const trace::MemRef> refs);
+  /// False only for a fed core that has consumed everything fed to it: the
+  /// next step() would throw std::logic_error.
+  bool ready() const noexcept { return cur_ != end_ || generator_ != nullptr; }
+  /// References fed (or prefetched) and not yet consumed.
+  std::size_t unconsumed() const noexcept { return static_cast<std::size_t>(end_ - cur_); }
 
   /// From now on the generator runs on a producer thread ahead of this core
   /// (RefPrefetcher); the references consumed are exactly the same. With a
   /// sampled run's `plan`, the producer also makes the plan's analytic skips
   /// (the core must not have started). The producer is joined when the core
   /// is destroyed. Idempotent. When the host refuses a thread the core stays
-  /// inline (prefetching() is false).
+  /// inline (prefetching() is false); a fed core has no generator to run and
+  /// is left as it is.
   void start_prefetch(const SamplePlan* plan = nullptr);
   bool prefetching() const noexcept { return prefetch_ != nullptr; }
 
@@ -73,16 +97,17 @@ class Core {
 
   trace::MemRef next_ref() {
     if (cur_ != end_) return *cur_++;
-    return prefetch_ ? next_chunk() : generator_->next();
+    return prefetch_ || !generator_ ? next_chunk() : generator_->next();
   }
+  /// The producer's next chunk; throws std::logic_error on a fed core.
   trace::MemRef next_chunk();
 
   std::uint32_t id_;
-  std::unique_ptr<trace::AccessGenerator> generator_;
+  std::unique_ptr<trace::AccessGenerator> generator_;  ///< Null on a fed core.
   /// Declared after generator_ so the producer is joined before the
   /// generator it runs is destroyed.
   std::unique_ptr<RefPrefetcher> prefetch_;
-  const trace::MemRef* cur_ = nullptr;  ///< Unconsumed part of the held chunk.
+  const trace::MemRef* cur_ = nullptr;  ///< Unconsumed part of the held or fed chunk.
   const trace::MemRef* end_ = nullptr;
   block_t block_offset_;
   cycle_t cycles_ = 0;

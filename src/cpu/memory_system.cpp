@@ -185,21 +185,16 @@ cycle_t MemorySystem::l2_access(block_t block, bool is_store, cycle_t now, bool 
   return latency;
 }
 
-cycle_t MemorySystem::access(std::uint32_t core, block_t block, bool is_store,
-                             cycle_t now) {
-  ++accesses_since_tick_;
-  cache::SetAssocCache& l1 = l1_[core];
-  const cache::AccessOutcome out = l1.access(block, is_store, now);
+cycle_t MemorySystem::l1_miss(const cache::AccessOutcome& out, block_t block,
+                              cycle_t now) {
+  // Demand fill from L2 (loads and store-allocates alike read the line;
+  // dirtiness lives in L1 until the line is evicted).
   cycle_t latency = cfg_.l1.latency_cycles;
-  if (!out.hit) {
-    // Demand fill from L2 (loads and store-allocates alike read the line;
-    // dirtiness lives in L1 until the line is evicted).
-    latency += l2_access(block, /*is_store=*/false, now + latency, /*demand=*/true);
-    if (out.victim != kInvalidBlock && out.victim_dirty) {
-      // Posted writeback of the L1 victim into L2; does not stall the core.
-      ++stats_.l2_writeback_accesses;
-      (void)l2_access(out.victim, /*is_store=*/true, now + latency, /*demand=*/false);
-    }
+  latency += l2_access(block, /*is_store=*/false, now + latency, /*demand=*/true);
+  if (out.victim != kInvalidBlock && out.victim_dirty) {
+    // Posted writeback of the L1 victim into L2; does not stall the core.
+    ++stats_.l2_writeback_accesses;
+    (void)l2_access(out.victim, /*is_store=*/true, now + latency, /*demand=*/false);
   }
   return latency;
 }

@@ -62,8 +62,14 @@ class MemorySystem {
  public:
   MemorySystem(const SystemConfig& cfg, Technique technique);
 
-  /// One load/store by `core`; returns its latency in cycles.
-  cycle_t access(std::uint32_t core, block_t block, bool is_store, cycle_t now);
+  /// One load/store by `core`; returns its latency in cycles. An L1 hit
+  /// completes here, inline; a miss goes on to the L2 out of line.
+  cycle_t access(std::uint32_t core, block_t block, bool is_store, cycle_t now) {
+    ++accesses_since_tick_;
+    const cache::AccessOutcome out = l1_[core].access(block, is_store, now);
+    if (out.hit) return cfg_.l1.latency_cycles;
+    return l1_miss(out, block, now);
+  }
 
   /// Interval boundary: pump refresh, run ESTEEM's algorithm, re-derive the
   /// bank refresh load, and integrate F_A over the elapsed window.
@@ -141,6 +147,9 @@ class MemorySystem {
   void set_telemetry(telemetry::RunSink* sink, cycle_t now);
 
  private:
+  /// The latency of an L1 miss (`out`): the demand fill from the L2, and
+  /// the posted writeback of a dirty victim.
+  cycle_t l1_miss(const cache::AccessOutcome& out, block_t block, cycle_t now);
   cycle_t l2_access(block_t block, bool is_store, cycle_t now, bool demand);
 
   /// Emits one interval telemetry sample (recorder row + trace events).

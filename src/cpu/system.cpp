@@ -1,7 +1,10 @@
 #include "cpu/system.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <exception>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -10,30 +13,40 @@
 
 namespace esteem::cpu {
 
+bool replays_trace(const std::string& benchmark) { return benchmark.rfind("trace:", 0) == 0; }
+
+std::unique_ptr<trace::AccessGenerator> make_core_stream(
+    const SystemConfig& cfg, const std::vector<std::string>& benchmarks,
+    std::uint64_t seed, std::uint32_t core) {
+  std::uint64_t seed_state = seed;
+  for (std::uint32_t c = 0; c < core; ++c) (void)splitmix64(seed_state);
+  const std::string& benchmark = benchmarks.at(core);
+  if (replays_trace(benchmark)) {
+    return std::make_unique<trace::FileTraceGenerator>(benchmark.substr(6));
+  }
+  const trace::GeneratorContext ctx{cfg.l2.geom.sets(), cfg.l2.geom.line_bytes};
+  return trace::make_generator(trace::profile_by_name(benchmark), ctx,
+                               splitmix64(seed_state));
+}
+
 System::System(const SystemConfig& cfg, Technique technique,
-               const std::vector<std::string>& benchmarks, std::uint64_t seed)
+               const std::vector<std::string>& benchmarks, std::uint64_t seed,
+               CoreStreams streams)
     : cfg_(cfg), mem_(cfg, technique) {
   if (benchmarks.size() != cfg.ncores) {
     throw std::invalid_argument("System: need one benchmark per core");
   }
-  const trace::GeneratorContext ctx{cfg.l2.geom.sets(), cfg.l2.geom.line_bytes};
-  std::uint64_t seed_state = seed;
   cores_.reserve(cfg.ncores);
   replays_trace_.reserve(cfg.ncores);
   for (std::uint32_t c = 0; c < cfg.ncores; ++c) {
-    // "trace:<path>" replays an external trace file; anything else is a
-    // Table 1 benchmark name or acronym.
-    std::unique_ptr<trace::AccessGenerator> gen;
-    replays_trace_.push_back(benchmarks[c].rfind("trace:", 0) == 0);
-    if (replays_trace_.back()) {
-      gen = std::make_unique<trace::FileTraceGenerator>(benchmarks[c].substr(6));
-      (void)splitmix64(seed_state);  // keep per-core seed stream aligned
-    } else {
-      const auto& profile = trace::profile_by_name(benchmarks[c]);
-      gen = trace::make_generator(profile, ctx, splitmix64(seed_state));
-    }
+    replays_trace_.push_back(replays_trace(benchmarks[c]));
     // Disjoint per-core address spaces for multiprogrammed workloads.
-    cores_.emplace_back(c, std::move(gen), static_cast<block_t>(c) << 44);
+    const block_t offset = static_cast<block_t>(c) << 44;
+    if (streams == CoreStreams::Fed) {
+      cores_.emplace_back(c, offset);
+    } else {
+      cores_.emplace_back(c, make_core_stream(cfg, benchmarks, seed, c), offset);
+    }
   }
 }
 
@@ -45,70 +58,89 @@ void System::start_prefetch(const SamplePlan* plan) {
 }
 
 RawRunResult System::run(const RunOptions& options) {
-  const cycle_t interval = cfg_.esteem.interval_cycles;
   start_prefetch();
+  begin(options);
+  if (!advance()) throw std::logic_error("System::run: a fed System runs through run_fused");
+  return finish();
+}
 
+void System::begin(const RunOptions& options) {
+  RunState& r = run_;
+  r = RunState{};
+  r.active = true;
+  r.options = options;
+  r.unfinished = cores_.size();
   // Warm-up: fill the caches at full associativity, then zero all counters
   // (the paper fast-forwards before measuring, §6.4).
-  const instr_t warmup = options.warmup_instr_per_core;
-  if (warmup > 0) {
-    std::size_t cold = cores_.size();
-    std::vector<bool> warm(cores_.size(), false);
-    while (cold > 0) {
-      std::size_t next = 0;
-      for (std::size_t c = 1; c < cores_.size(); ++c) {
-        if (!warm[c] && (warm[next] || cores_[c].cycles() < cores_[next].cycles())) {
-          next = c;
-        }
-      }
-      cores_[next].step(mem_);
-      if (!warm[next] && cores_[next].instret() >= warmup) {
-        warm[next] = true;
-        --cold;
-      }
-    }
+  if (options.warmup_instr_per_core > 0) {
+    r.warm.assign(cores_.size(), false);
+    r.cold = cores_.size();
+  } else {
+    start_measurement();
   }
-  cycle_t measure_start = cores_[0].cycles();
+}
+
+void System::start_measurement() {
+  RunState& r = run_;
+  r.measure_start = cores_[0].cycles();
   for (std::size_t c = 1; c < cores_.size(); ++c) {
-    measure_start = std::min(measure_start, cores_[c].cycles());
+    r.measure_start = std::min(r.measure_start, cores_[c].cycles());
   }
-  mem_.reset_measurement(measure_start);
-  if (options.telemetry != nullptr) {
+  mem_.reset_measurement(r.measure_start);
+  if (r.options.telemetry != nullptr) {
     // Attached after the measurement reset so interval deltas and trace
     // timestamps cover exactly the measured window.
-    mem_.set_telemetry(options.telemetry, measure_start);
+    mem_.set_telemetry(r.options.telemetry, r.measure_start);
   }
 
-  const instr_t target = warmup + options.instr_per_core;
-  std::vector<instr_t> base_instr(cores_.size());
-  std::vector<cycle_t> base_cycles(cores_.size());
+  r.target = r.options.warmup_instr_per_core + r.options.instr_per_core;
+  r.base_instr.resize(cores_.size());
+  r.base_cycles.resize(cores_.size());
   for (std::size_t c = 0; c < cores_.size(); ++c) {
-    base_instr[c] = cores_[c].instret();
-    base_cycles[c] = cores_[c].cycles();
+    r.base_instr[c] = cores_[c].instret();
+    r.base_cycles[c] = cores_[c].cycles();
+  }
+  r.result.instr_per_core = r.options.instr_per_core;
+  r.result.ipc.assign(cores_.size(), 0.0);
+  r.recorded.assign(cores_.size(), false);
+  r.next_interval = r.measure_start + cfg_.esteem.interval_cycles;
+}
+
+bool System::advance() {
+  RunState& r = run_;
+  while (r.cold > 0) {
+    std::size_t next = 0;
+    for (std::size_t c = 1; c < cores_.size(); ++c) {
+      if (!r.warm[c] && (r.warm[next] || cores_[c].cycles() < cores_[next].cycles())) {
+        next = c;
+      }
+    }
+    Core& core = cores_[next];
+    if (!core.ready()) return false;
+    core.step(mem_);
+    if (!r.warm[next] && core.instret() >= r.options.warmup_instr_per_core) {
+      r.warm[next] = true;
+      if (--r.cold == 0) start_measurement();
+    }
   }
 
-  RawRunResult result;
-  result.instr_per_core = options.instr_per_core;
-  result.ipc.assign(cores_.size(), 0.0);
-  std::vector<bool> recorded(cores_.size(), false);
-  std::size_t unfinished = cores_.size();
-
-  cycle_t next_interval = measure_start + interval;
-  while (unfinished > 0) {
+  const cycle_t interval = cfg_.esteem.interval_cycles;
+  while (r.unfinished > 0) {
     // Step the core with the smallest local clock for causal consistency.
     std::size_t next = 0;
     for (std::size_t c = 1; c < cores_.size(); ++c) {
       if (cores_[c].cycles() < cores_[next].cycles()) next = c;
     }
     Core& core = cores_[next];
+    if (!core.ready()) return false;
     core.step(mem_);
 
-    if (!recorded[next] && core.instret() >= target) {
-      recorded[next] = true;
-      result.ipc[next] =
-          static_cast<double>(core.instret() - base_instr[next]) /
-          static_cast<double>(core.cycles() - base_cycles[next]);
-      --unfinished;
+    if (!r.recorded[next] && core.instret() >= r.target) {
+      r.recorded[next] = true;
+      r.result.ipc[next] =
+          static_cast<double>(core.instret() - r.base_instr[next]) /
+          static_cast<double>(core.cycles() - r.base_cycles[next]);
+      --r.unfinished;
     }
 
     // Wall clock = slowest core's position; interval boundaries fire when
@@ -117,22 +149,31 @@ RawRunResult System::run(const RunOptions& options) {
     for (std::size_t c = 1; c < cores_.size(); ++c) {
       wall = std::min(wall, cores_[c].cycles());
     }
-    while (wall >= next_interval) {
-      mem_.tick_interval(next_interval);
-      if (options.record_timeline) {
-        result.timeline.push_back(IntervalSample{
-            next_interval, mem_.active_fraction(), mem_.module_active_ways()});
+    while (wall >= r.next_interval) {
+      mem_.tick_interval(r.next_interval);
+      if (r.options.record_timeline) {
+        r.result.timeline.push_back(IntervalSample{
+            r.next_interval, mem_.active_fraction(), mem_.module_active_ways()});
       }
-      next_interval += interval;
+      r.next_interval += interval;
     }
   }
+  return true;
+}
 
+RawRunResult System::finish() {
+  RunState& r = run_;
+  if (!r.active || r.cold > 0 || r.unfinished > 0) {
+    throw std::logic_error("System::finish: no run has ended");
+  }
+  r.active = false;
   cycle_t wall_end = 0;
   for (const Core& core : cores_) wall_end = std::max(wall_end, core.cycles());
   mem_.finish(wall_end);
 
-  result.wall_cycles = wall_end - measure_start;
-  result.total_instructions = options.instr_per_core * cores_.size();
+  RawRunResult result = std::move(r.result);
+  result.wall_cycles = wall_end - r.measure_start;
+  result.total_instructions = r.options.instr_per_core * cores_.size();
   result.counters = mem_.energy_counters(wall_end);
   result.mem_stats = mem_.stats();
   result.refreshes = mem_.refreshes();
@@ -143,6 +184,67 @@ RawRunResult System::run(const RunOptions& options) {
       result.counters.seconds > 0.0 ? result.counters.fa_seconds / result.counters.seconds
                                     : 1.0;
   return result;
+}
+
+void run_fused(std::span<FusedCell> cells, trace::AccessGenerator& stream, bool pipelined) {
+  for (FusedCell& cell : cells) {
+    if (cell.system->cores().size() != 1 || cell.system->cores()[0].ready()) {
+      throw std::invalid_argument("run_fused: every cell must be a fed single-core System");
+    }
+    cell.system->begin(cell.options);
+  }
+
+  // The stream's chunks: from a producer thread, or filled here. Like a
+  // prefetching core, the inline source hands out the references before a
+  // failure, then throws it.
+  std::unique_ptr<RefPrefetcher> producer;
+  if (pipelined) {
+    try {
+      producer = std::make_unique<RefPrefetcher>(stream);
+    } catch (const std::system_error&) {
+      // No thread to be had: generate inline.
+    }
+  }
+  std::vector<trace::MemRef> buffer(producer ? 0 : RefPrefetcher::kChunkRefs);
+  std::exception_ptr failed;
+  const auto next_chunk = [&]() -> std::span<const trace::MemRef> {
+    if (producer) return producer->next_chunk();
+    if (failed) std::rethrow_exception(failed);
+    try {
+      stream.fill(buffer.data(), buffer.size());
+      return buffer;
+    } catch (const trace::FillInterrupted& e) {
+      if (e.done == 0) std::rethrow_exception(e.cause);
+      failed = e.cause;
+      return {buffer.data(), e.done};
+    }
+  };
+
+  using Clock = std::chrono::steady_clock;
+  const auto timed = [](FusedCell& cell, const auto& work) {
+    const Clock::time_point t0 = Clock::now();
+    auto out = work();
+    cell.seconds += std::chrono::duration<double>(Clock::now() - t0).count();
+    return out;
+  };
+  for (bool ended = false; !ended;) {
+    const std::span<const trace::MemRef> chunk = next_chunk();
+    std::size_t left = 0;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      Core& core = cells[i].system->cores()[0];
+      core.feed(chunk);
+      const bool done = timed(cells[i], [&] { return cells[i].system->advance(); });
+      if (i == 0) {
+        ended = done;
+        left = core.unconsumed();
+      } else if (done != ended || core.unconsumed() != left) {
+        throw std::logic_error("run_fused: the cells ended on different references");
+      }
+    }
+  }
+  for (FusedCell& cell : cells) {
+    cell.result = timed(cell, [&] { return cell.system->finish(); });
+  }
 }
 
 }  // namespace esteem::cpu

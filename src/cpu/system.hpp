@@ -10,7 +10,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/config.hpp"
@@ -58,15 +61,46 @@ struct RunOptions {
   telemetry::RunSink* telemetry = nullptr;
 };
 
+/// Where a System's cores take their references from.
+enum class CoreStreams {
+  Generated,  ///< Each core runs its own generator (make_core_stream).
+  Fed,        ///< Each core is fed a shared stream by run_fused (Core::feed).
+};
+
+/// True for a "trace:<path>" benchmark name: a replay of a trace file.
+bool replays_trace(const std::string& benchmark);
+
+/// The reference stream System gives core `core` of a run of `benchmarks`
+/// seeded `seed`: a "trace:<path>" file replay, or the generator of a Table
+/// 1 benchmark name or acronym. Core c's seed is the (c+1)-th output of one
+/// splitmix64 chain from `seed`, whatever the other cores replay.
+std::unique_ptr<trace::AccessGenerator> make_core_stream(
+    const SystemConfig& cfg, const std::vector<std::string>& benchmarks,
+    std::uint64_t seed, std::uint32_t core);
+
 class System {
  public:
   /// `benchmarks` has one benchmark name per core (cfg.ncores entries).
+  /// With CoreStreams::Fed no generator is built: the cores step only
+  /// through what run_fused feeds them.
   System(const SystemConfig& cfg, Technique technique,
-         const std::vector<std::string>& benchmarks, std::uint64_t seed);
+         const std::vector<std::string>& benchmarks, std::uint64_t seed,
+         CoreStreams streams = CoreStreams::Generated);
 
   /// Runs every core exhaustively to its target, on producer threads where
-  /// start_prefetch allows.
+  /// start_prefetch allows: begin(), advance() to the end, finish(). Throws
+  /// std::logic_error on a fed System, which only run_fused can run.
   RawRunResult run(const RunOptions& options);
+
+  /// run() in resumable form, for fed Systems (run_fused). begin() starts a
+  /// run: warm-up first, then measurement. advance() steps the cores in
+  /// run()'s order until the run ends (true), or until the core due next is
+  /// a fed core that has used up its references (false: feed it and call
+  /// again). finish() closes the run and returns its result; it throws
+  /// std::logic_error before advance() returned true.
+  void begin(const RunOptions& options);
+  bool advance();
+  RawRunResult finish();
 
   /// On a host with more than one hardware thread, starts a producer thread
   /// on each core that runs a synthetic generator (Core::start_prefetch),
@@ -80,10 +114,51 @@ class System {
   const SystemConfig& config() const noexcept { return cfg_; }
 
  private:
+  /// The run in progress, from begin() to finish().
+  struct RunState {
+    bool active = false;            ///< Between begin() and finish().
+    RunOptions options;
+    instr_t target = 0;             ///< Instret at which a core's IPC is taken.
+    std::vector<bool> warm;         ///< Per core: past the warm-up.
+    std::size_t cold = 0;           ///< Cores still warming up.
+    std::vector<instr_t> base_instr;
+    std::vector<cycle_t> base_cycles;
+    std::vector<bool> recorded;     ///< Per core: IPC taken.
+    std::size_t unfinished = 0;     ///< Cores short of the target.
+    cycle_t measure_start = 0;
+    cycle_t next_interval = 0;
+    RawRunResult result;
+  };
+
+  /// Ends the warm-up: resets the measurement counters and starts the
+  /// interval clock.
+  void start_measurement();
+
   SystemConfig cfg_;
   MemorySystem mem_;
   std::vector<Core> cores_;
   std::vector<bool> replays_trace_;  ///< Per core: a "trace:" file replay.
+  RunState run_;
 };
+
+/// One cell of a fused group: a fed single-core System and its run.
+struct FusedCell {
+  System* system = nullptr;
+  RunOptions options;
+  RawRunResult result;   ///< Set by run_fused.
+  double seconds = 0.0;  ///< Host time of this cell's own steps: the sum of its chunk slices.
+};
+
+/// Runs fed single-core Systems on one shared `stream`, chunk by chunk: a
+/// producer thread generates each chunk (`pipelined`, by default wherever
+/// System::start_prefetch would start one; otherwise this thread fills it),
+/// and this thread hands it to every cell's System::advance in turn. Exact,
+/// as a single-core run's warm-up and measurement stop at instret
+/// thresholds, which depend on the stream alone: each cell consumes the
+/// references its own run() would. Cells of equal budgets end on the same
+/// reference; std::logic_error if they do not. A stream failure fails the
+/// group at the first chunk that needs the missing references.
+void run_fused(std::span<FusedCell> cells, trace::AccessGenerator& stream,
+               bool pipelined = std::thread::hardware_concurrency() > 1);
 
 }  // namespace esteem::cpu

@@ -108,48 +108,46 @@ sampling::Estimate ipc_estimate(const RunOutcome& o, std::size_t core) {
                              : sampling::Estimate{o.raw.ipc[core], 0.0};
 }
 
-}  // namespace
-
-RunOutcome run_experiment(const RunSpec& spec) {
+/// Per-run sink (null when telemetry is off): interval time-series columns
+/// plus one simulated-time trace lane per ESTEEM module.
+std::unique_ptr<telemetry::RunSink> begin_sink(const RunSpec& spec, std::string& label) {
   telemetry::Telemetry& tel = telemetry::Telemetry::instance();
-
-  // Per-run sink (null when telemetry is off): interval time-series columns
-  // plus one simulated-time trace lane per ESTEEM module.
+  if (!tel.active()) return nullptr;
   const std::uint32_t modules =
       spec.technique == Technique::Esteem ? spec.config.esteem.modules : 0;
-  std::unique_ptr<telemetry::RunSink> sink;
+  label = run_label(spec);
+  return tel.begin_run(label, spec.config.freq_ghz, telemetry::interval_columns(modules),
+                       1 + modules);
+}
+
+/// One run_experiment in flight, from its telemetry sink to finish_cell;
+/// run_fused keeps several.
+struct Cell {
+  Cell(const RunSpec& s, cpu::CoreStreams streams)
+      : spec(s),
+        sink(begin_sink(s, label)),
+        wall_t0(sink && sink->trace ? telemetry::TraceEmitter::wall_now_us() : 0.0),
+        system(s.config, s.technique, s.workload.benchmarks, s.seed, streams) {
+    options.instr_per_core = s.instr_per_core;
+    options.warmup_instr_per_core = s.warmup_instr_per_core;
+    options.record_timeline = s.record_timeline;
+    options.seed = s.seed;
+    options.telemetry = sink.get();
+  }
+
+  const RunSpec& spec;
   std::string label;
-  if (tel.active()) {
-    label = run_label(spec);
-    sink = tel.begin_run(label, spec.config.freq_ghz,
-                         telemetry::interval_columns(modules), 1 + modules);
-  }
-
-  const double wall_t0 =
-      sink && sink->trace ? telemetry::TraceEmitter::wall_now_us() : 0.0;
-
-  cpu::System system(spec.config, spec.technique, spec.workload.benchmarks, spec.seed);
-
+  std::unique_ptr<telemetry::RunSink> sink;
+  double wall_t0;
+  cpu::System system;
   cpu::RunOptions options;
-  options.instr_per_core = spec.instr_per_core;
-  options.warmup_instr_per_core = spec.warmup_instr_per_core;
-  options.record_timeline = spec.record_timeline;
-  options.seed = spec.seed;
-  options.telemetry = sink.get();
+};
 
-  RunOutcome outcome;
-  {
-    telemetry::ScopedTimer t(tel.profiler(), "run.simulate");
-    if (spec.config.sampling.enabled) {
-      sampling::SampledRunResult sampled =
-          sampling::run_sampled(system, options, spec.config.sampling);
-      outcome.raw = std::move(sampled.raw);
-      outcome.estimates = std::move(sampled.estimates);
-    } else {
-      outcome.raw = system.run(options);
-    }
-  }
-
+/// Evaluates the energy model over the simulated `outcome`, closes the
+/// cell's sink and publishes the run's counters.
+RunOutcome finish_cell(Cell& cell, RunOutcome outcome) {
+  const RunSpec& spec = cell.spec;
+  telemetry::Telemetry& tel = telemetry::Telemetry::instance();
   telemetry::ScopedTimer energy_timer(tel.profiler(), "run.energy");
   energy::EnergyModelParams params;
   params.l2 = energy::l2_energy_params(spec.config.l2.geom.size_bytes);
@@ -171,17 +169,77 @@ RunOutcome run_experiment(const RunSpec& spec) {
   }
   energy_timer.stop();
 
-  if (sink) {
+  if (telemetry::RunSink* sink = cell.sink.get()) {
     if (sink->trace != nullptr) {
       sink->trace->complete(telemetry::TraceEmitter::kWallPid,
-                            telemetry::TraceEmitter::wall_tid(), "simulate " + label,
-                            wall_t0,
-                            telemetry::TraceEmitter::wall_now_us() - wall_t0);
+                            telemetry::TraceEmitter::wall_tid(), "simulate " + cell.label,
+                            cell.wall_t0,
+                            telemetry::TraceEmitter::wall_now_us() - cell.wall_t0);
     }
     tel.end_run(*sink);
   }
   if (tel.active()) publish_run_counters(spec, outcome);
   return outcome;
+}
+
+}  // namespace
+
+RunOutcome run_experiment(const RunSpec& spec) {
+  Cell cell(spec, cpu::CoreStreams::Generated);
+  RunOutcome outcome;
+  {
+    telemetry::ScopedTimer t(telemetry::profiler(), "run.simulate");
+    if (spec.config.sampling.enabled) {
+      sampling::SampledRunResult sampled =
+          sampling::run_sampled(cell.system, cell.options, spec.config.sampling);
+      outcome.raw = std::move(sampled.raw);
+      outcome.estimates = std::move(sampled.estimates);
+    } else {
+      outcome.raw = cell.system.run(cell.options);
+    }
+  }
+  return finish_cell(cell, std::move(outcome));
+}
+
+bool fusable(const RunSpec& spec) {
+  return spec.config.ncores == 1 && spec.workload.benchmarks.size() == 1 &&
+         !spec.config.sampling.enabled && !cpu::replays_trace(spec.workload.benchmarks.front());
+}
+
+bool shares_stream(const RunSpec& a, const RunSpec& b) {
+  return a.workload.benchmarks == b.workload.benchmarks && a.seed == b.seed &&
+         a.config.l2.geom.sets() == b.config.l2.geom.sets() &&
+         a.config.l2.geom.line_bytes == b.config.l2.geom.line_bytes &&
+         a.instr_per_core == b.instr_per_core &&
+         a.warmup_instr_per_core == b.warmup_instr_per_core;
+}
+
+std::vector<RunOutcome> run_fused(const std::vector<RunSpec>& specs) {
+  for (const RunSpec& spec : specs) {
+    if (!fusable(spec) || !shares_stream(specs.front(), spec)) {
+      throw std::invalid_argument("run_fused: the specs do not share one stream");
+    }
+  }
+  if (specs.empty()) return {};
+  const RunSpec& first = specs.front();
+  const std::unique_ptr<trace::AccessGenerator> stream = cpu::make_core_stream(
+      first.config, first.workload.benchmarks, first.seed, 0);
+  std::vector<std::unique_ptr<Cell>> cells;
+  std::vector<cpu::FusedCell> fused;
+  for (const RunSpec& spec : specs) {
+    cells.push_back(std::make_unique<Cell>(spec, cpu::CoreStreams::Fed));
+    fused.push_back({&cells.back()->system, cells.back()->options, {}, 0.0});
+  }
+  cpu::run_fused(fused, *stream);
+
+  std::vector<RunOutcome> outcomes;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    telemetry::profiler().add("run.simulate", fused[i].seconds);
+    RunOutcome outcome;
+    outcome.raw = std::move(fused[i].result);
+    outcomes.push_back(finish_cell(*cells[i], std::move(outcome)));
+  }
+  return outcomes;
 }
 
 TechniqueComparison compare(const std::string& workload, Technique technique,

@@ -48,6 +48,25 @@ std::string run_label(const RunSpec& spec);
 /// instrumentation cost.
 RunOutcome run_experiment(const RunSpec& spec);
 
+/// True when `spec` runs one synthetic core exhaustively: not sampled, not
+/// a "trace:" replay. Only such cells fuse (run_fused).
+bool fusable(const RunSpec& spec);
+
+/// True when fusable cells `a` and `b` consume the same references: the
+/// same benchmark, seed, generator context (L2 sets, line size) and
+/// instruction budgets. Their techniques, and the rest of their configs,
+/// may differ.
+bool shares_stream(const RunSpec& a, const RunSpec& b);
+
+/// Runs fusable `specs` that share one stream together: one generator,
+/// and one consumer thread that hands each chunk to every cell's hierarchy
+/// in turn (cpu::run_fused). Each outcome is bit-identical to
+/// run_experiment's for its spec, and each cell keeps its own telemetry
+/// sink, counters and `run.simulate` sample (its own stepping time, not the
+/// group's). Throws std::invalid_argument when the specs may not fuse, and
+/// whatever the run throws, for the whole group.
+std::vector<RunOutcome> run_fused(const std::vector<RunSpec>& specs);
+
 /// run_experiment through the process-wide RunCache (sim/run_cache.hpp):
 /// identical specs are simulated once per process (or once ever, with
 /// ESTEEM_MEMO_DIR persistence) and shared by pointer thereafter. The

@@ -1,5 +1,6 @@
 #include "sim/run_cache.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cerrno>
@@ -267,44 +268,86 @@ RunCache& RunCache::instance() {
 }
 
 std::shared_ptr<const RunOutcome> RunCache::get_or_run(const RunSpec& spec) {
-  const std::string fp = run_spec_fingerprint(spec);
-  std::promise<OutcomePtr> promise;
-  std::shared_future<OutcomePtr> future;
-  bool owner = false;
+  return get_or_run_group({spec}).front();
+}
+
+std::vector<std::shared_ptr<const RunOutcome>> RunCache::get_or_run_group(
+    const std::vector<RunSpec>& specs) {
+  const std::size_t n = specs.size();
+  std::vector<std::string> fps(n);
+  std::vector<std::shared_future<OutcomePtr>> futures(n);
+  std::vector<std::promise<OutcomePtr>> promises(n);
+  std::vector<std::size_t> owned;  // keys this call resolves
+  for (std::size_t i = 0; i < n; ++i) fps[i] = run_spec_fingerprint(specs[i]);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(fp);
-    if (it != map_.end()) {
-      ++stats_.hits;
-      future = it->second;
-    } else {
-      ++stats_.misses;
-      owner = true;
-      future = promise.get_future().share();
-      map_.emplace(fp, future);
+    for (std::size_t i = 0; i < n; ++i) {
+      auto it = map_.find(fps[i]);
+      if (it != map_.end()) {
+        ++stats_.hits;
+        futures[i] = it->second;
+      } else {
+        ++stats_.misses;
+        owned.push_back(i);
+        futures[i] = promises[i].get_future().share();
+        map_.emplace(fps[i], futures[i]);
+      }
     }
   }
-  if (telemetry::active()) note_lookup(/*hit=*/!owner, fingerprint_hash(fp));
-  if (!owner) return future.get();  // blocks only while the owner computes
-
-  try {
-    const std::uint64_t hash = fingerprint_hash(fp);
-    OutcomePtr outcome;
-    if (!load_from_disk(hash, fp, outcome)) {
-      outcome = std::make_shared<const RunOutcome>(run_experiment(spec));
-      store_to_disk(hash, fp, *outcome);
+  if (telemetry::active()) {
+    for (std::size_t i = 0, k = 0; i < n; ++i) {
+      const bool hit = k == owned.size() || owned[k] != i;
+      if (!hit) ++k;
+      note_lookup(hit, fingerprint_hash(fps[i]));
     }
-    promise.set_value(outcome);
-    return outcome;
+  }
+
+  // out[i] is set exactly when promises[i] (of an owned key) is fulfilled.
+  std::vector<OutcomePtr> out(n);
+  std::vector<std::size_t> missing;  // owned keys no memo file holds
+  try {
+    for (const std::size_t i : owned) {
+      OutcomePtr loaded;
+      if (load_from_disk(fingerprint_hash(fps[i]), fps[i], loaded)) {
+        promises[i].set_value(loaded);
+        out[i] = std::move(loaded);
+      } else {
+        missing.push_back(i);
+      }
+    }
+    std::vector<RunSpec> group;
+    for (const std::size_t i : missing) group.push_back(specs[i]);
+    const bool fuse =
+        group.size() > 1 && std::all_of(group.begin(), group.end(), [&](const RunSpec& s) {
+          return fusable(s) && shares_stream(group.front(), s);
+        });
+    std::vector<RunOutcome> ran;
+    if (fuse) {
+      ran = run_fused(group);
+    } else {
+      for (const RunSpec& spec : group) ran.push_back(run_experiment(spec));
+    }
+    for (std::size_t k = 0; k < missing.size(); ++k) {
+      const std::size_t i = missing[k];
+      auto outcome = std::make_shared<const RunOutcome>(std::move(ran[k]));
+      store_to_disk(fingerprint_hash(fps[i]), fps[i], *outcome);
+      promises[i].set_value(outcome);
+      out[i] = std::move(outcome);
+    }
   } catch (...) {
-    // Leave failures uncached: a retry recomputes instead of replaying the
-    // stored exception forever. Waiters already holding the future still
-    // observe this failure.
-    promise.set_exception(std::current_exception());
+    // As get_or_run: waiters see the failure, and the keys stay uncached.
     const std::lock_guard<std::mutex> lock(mutex_);
-    map_.erase(fp);
+    for (const std::size_t i : owned) {
+      if (out[i] != nullptr) continue;
+      promises[i].set_exception(std::current_exception());
+      map_.erase(fps[i]);
+    }
     throw;
   }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (out[i] == nullptr) out[i] = futures[i].get();
+  }
+  return out;
 }
 
 void RunCache::clear() {

@@ -30,6 +30,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "sim/experiment.hpp"
 
@@ -81,6 +82,18 @@ class RunCache {
   /// key, even under concurrency) on a miss. Propagates the run's exception
   /// and leaves the key uncached so a later call can retry.
   std::shared_ptr<const RunOutcome> get_or_run(const RunSpec& spec);
+
+  /// get_or_run for each of `specs`, one outcome per spec (get_or_run is the
+  /// group of one): each key counts one hit or miss, and hits and keys in
+  /// flight elsewhere are shared. The keys that miss are looked for in memo
+  /// files, then computed together: when two or more are left and all are
+  /// fusable and share one stream, as one fused group (sim::run_fused),
+  /// otherwise each alone. Each outcome is stored under its own spec. A
+  /// failure leaves every key this call computed uncached and propagates,
+  /// so callers can fall back to get_or_run per spec, which reproduces each
+  /// cell's own error.
+  std::vector<std::shared_ptr<const RunOutcome>> get_or_run_group(
+      const std::vector<RunSpec>& specs);
 
   /// Drops every in-memory entry and zeroes the stats. Disk files survive.
   void clear();

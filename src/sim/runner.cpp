@@ -48,6 +48,10 @@ struct WorkloadTaskState {
   std::promise<std::shared_ptr<const RunOutcome>> baseline_promise;
   std::shared_future<std::shared_ptr<const RunOutcome>> baseline;
   std::optional<RunError> baseline_error;
+  /// Baseline then technique outcomes of a fused group (fused_outcomes);
+  /// empty when each cell runs through run_guarded. Written by the baseline
+  /// task before it submits the technique tasks.
+  std::vector<std::shared_ptr<const RunOutcome>> fused;
   std::vector<std::optional<RunError>> technique_errors;
   /// Set when any of this workload's tasks was drained without running
   /// because shutdown was requested.
@@ -89,6 +93,24 @@ struct CircuitBreaker {
   std::atomic<std::uint32_t> consecutive_{0};
   std::atomic<bool> tripped_{false};
 };
+
+/// A workload's baseline and technique outcomes computed as one fused group
+/// (RunCache::get_or_run_group, DESIGN.md §7), or empty when its cells
+/// cannot fuse or the group failed: every cell then takes the per-cell path,
+/// which reproduces its own error, retries and breaker count. A [resilience]
+/// run deadline bounds one cell's wall time, which a group's cells do not
+/// have apart, so a sweep with a deadline keeps the per-cell path.
+std::vector<std::shared_ptr<const RunOutcome>> fused_outcomes(const SweepSpec& spec,
+                                                              const trace::Workload& workload) {
+  std::vector<RunSpec> specs{sweep_run_spec(spec, workload, Technique::BaselinePeriodicAll)};
+  if (!fusable(specs.front()) || spec.config.resilience.run_deadline_ms != 0) return {};
+  for (const Technique t : spec.techniques) specs.push_back(sweep_run_spec(spec, workload, t));
+  try {
+    return RunCache::instance().get_or_run_group(specs);
+  } catch (...) {
+    return {};
+  }
+}
 
 }  // namespace
 
@@ -209,11 +231,13 @@ SweepResult run_sweep(const SweepSpec& spec) {
       }
       const TaskSpan span("baseline:" + workload.name);
 
+      state.fused = fused_outcomes(spec, workload);
       std::shared_ptr<const RunOutcome> base;
       try {
-        base = run_guarded(
-            sweep_run_spec(spec, workload, Technique::BaselinePeriodicAll),
-            "baseline:" + workload.name);
+        base = !state.fused.empty()
+                   ? state.fused.front()
+                   : run_guarded(sweep_run_spec(spec, workload, Technique::BaselinePeriodicAll),
+                                 "baseline:" + workload.name);
         breaker.note_success();
       } catch (...) {
         state.baseline_error =
@@ -246,9 +270,11 @@ SweepResult run_sweep(const SweepSpec& spec) {
           const TaskSpan span(std::string(to_string(technique)) + ":" + wl.name);
           try {
             const std::shared_ptr<const RunOutcome> baseline = st.baseline.get();
-            const std::shared_ptr<const RunOutcome> tech = run_guarded(
-                sweep_run_spec(spec, wl, technique),
-                std::string(to_string(technique)) + ":" + wl.name);
+            const std::shared_ptr<const RunOutcome> tech =
+                !st.fused.empty() ? st.fused[1 + ti]
+                                  : run_guarded(sweep_run_spec(spec, wl, technique),
+                                                std::string(to_string(technique)) + ":" +
+                                                    wl.name);
             result.rows[wi].comparisons[ti] = compare(wl.name, technique, *baseline, *tech);
             breaker.note_success();
           } catch (...) {

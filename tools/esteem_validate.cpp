@@ -39,7 +39,8 @@
 // Drift-vs-golden is gated at every scale.
 //
 // Exit codes: 0 pass, 1 check failed, 2 usage error (also an unreadable or
-// malformed --golden file under --check), 4 runtime error, 5 interrupted.
+// malformed --golden file under --check or --results), 4 runtime error,
+// 5 interrupted.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -279,13 +280,14 @@ int do_update_golden(const Options& opt, const ScaleSpec& scale) {
 }
 
 int do_results(const Options& opt, const ScaleSpec& scale) {
+  // As under --check: an unreadable or malformed golden file fails before
+  // any figure runs.
   GoldenFile golden;
-  bool have_golden = false;
   try {
     golden = load_golden(opt.golden_path);
-    have_golden = true;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "warning: %s\n", e.what());
+    std::fprintf(stderr, "esteem_validate: %s\n", e.what());
+    return 2;
   }
   bool interrupted = false;
   const std::vector<FigureResult> results = run_matrix(opt, scale, interrupted);
@@ -295,8 +297,7 @@ int do_results(const Options& opt, const ScaleSpec& scale) {
     return resilience::kExitInterrupted;
   }
   const Scorecard card = build_scorecard(
-      results, have_golden ? &golden : nullptr,
-      scale.label == "bench" || scale.label == "paper");
+      results, &golden, scale.label == "bench" || scale.label == "paper");
   const ExactChecks checks = run_exact_checks(scale);
   std::fputs(results_book_markdown(results, card, checks).c_str(), stdout);
   return 0;
