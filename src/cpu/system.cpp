@@ -15,17 +15,20 @@ namespace esteem::cpu {
 
 bool replays_trace(const std::string& benchmark) { return benchmark.rfind("trace:", 0) == 0; }
 
-std::unique_ptr<trace::AccessGenerator> make_core_stream(
-    const SystemConfig& cfg, const std::vector<std::string>& benchmarks,
-    std::uint64_t seed, std::uint32_t core) {
-  std::uint64_t seed_state = seed;
+StreamKey stream_key(const SystemConfig& cfg, const std::vector<std::string>& benchmarks,
+                     std::uint64_t seed) {
+  return StreamKey{benchmarks, seed, {cfg.l2.geom.sets(), cfg.l2.geom.line_bytes}};
+}
+
+std::unique_ptr<trace::AccessGenerator> make_core_stream(const StreamKey& key,
+                                                         std::uint32_t core) {
+  std::uint64_t seed_state = key.seed;
   for (std::uint32_t c = 0; c < core; ++c) (void)splitmix64(seed_state);
-  const std::string& benchmark = benchmarks.at(core);
+  const std::string& benchmark = key.benchmarks.at(core);
   if (replays_trace(benchmark)) {
     return std::make_unique<trace::FileTraceGenerator>(benchmark.substr(6));
   }
-  const trace::GeneratorContext ctx{cfg.l2.geom.sets(), cfg.l2.geom.line_bytes};
-  return trace::make_generator(trace::profile_by_name(benchmark), ctx,
+  return trace::make_generator(trace::profile_by_name(benchmark), key.context,
                                splitmix64(seed_state));
 }
 
@@ -36,6 +39,7 @@ System::System(const SystemConfig& cfg, Technique technique,
   if (benchmarks.size() != cfg.ncores) {
     throw std::invalid_argument("System: need one benchmark per core");
   }
+  const StreamKey key = stream_key(cfg, benchmarks, seed);
   cores_.reserve(cfg.ncores);
   replays_trace_.reserve(cfg.ncores);
   for (std::uint32_t c = 0; c < cfg.ncores; ++c) {
@@ -45,7 +49,7 @@ System::System(const SystemConfig& cfg, Technique technique,
     if (streams == CoreStreams::Fed) {
       cores_.emplace_back(c, offset);
     } else {
-      cores_.emplace_back(c, make_core_stream(cfg, benchmarks, seed, c), offset);
+      cores_.emplace_back(c, make_core_stream(key, c), offset);
     }
   }
 }

@@ -70,13 +70,26 @@ enum class CoreStreams {
 /// True for a "trace:<path>" benchmark name: a replay of a trace file.
 bool replays_trace(const std::string& benchmark);
 
-/// The reference stream System gives core `core` of a run of `benchmarks`
-/// seeded `seed`: a "trace:<path>" file replay, or the generator of a Table
-/// 1 benchmark name or acronym. Core c's seed is the (c+1)-th output of one
-/// splitmix64 chain from `seed`, whatever the other cores replay.
-std::unique_ptr<trace::AccessGenerator> make_core_stream(
-    const SystemConfig& cfg, const std::vector<std::string>& benchmarks,
-    std::uint64_t seed, std::uint32_t core);
+/// Everything a run's core streams are built from: runs of equal keys give
+/// every core the same references (run_fused shares them on that ground).
+struct StreamKey {
+  std::vector<std::string> benchmarks;  ///< One per core.
+  std::uint64_t seed = 0;
+  trace::GeneratorContext context;
+
+  bool operator==(const StreamKey&) const = default;
+};
+
+/// The StreamKey of a run of `benchmarks` on `cfg` seeded `seed`.
+StreamKey stream_key(const SystemConfig& cfg, const std::vector<std::string>& benchmarks,
+                     std::uint64_t seed);
+
+/// The reference stream System gives core `core` of a run keyed `key`: a
+/// "trace:<path>" file replay, or the generator of a Table 1 benchmark name
+/// or acronym. Core c's seed is the (c+1)-th output of one splitmix64 chain
+/// from the key's seed, whatever the other cores replay.
+std::unique_ptr<trace::AccessGenerator> make_core_stream(const StreamKey& key,
+                                                         std::uint32_t core);
 
 class System {
  public:

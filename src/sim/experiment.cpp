@@ -4,6 +4,7 @@
 
 #include "edram/ecc.hpp"
 #include "energy/cacti_table.hpp"
+#include "resilience/watchdog.hpp"
 #include "sampling/sampled_run.hpp"
 #include "sim/metrics.hpp"
 #include "sim/run_cache.hpp"
@@ -138,7 +139,10 @@ struct Cell {
   const RunSpec& spec;
   std::string label;
   std::unique_ptr<telemetry::RunSink> sink;
+  /// The cell's wall-clock trace span: from wall_t0 for wall_us, or until
+  /// finish_cell when wall_us is negative (a solo run).
   double wall_t0;
+  double wall_us = -1.0;
   cpu::System system;
   cpu::RunOptions options;
 };
@@ -171,10 +175,11 @@ RunOutcome finish_cell(Cell& cell, RunOutcome outcome) {
 
   if (telemetry::RunSink* sink = cell.sink.get()) {
     if (sink->trace != nullptr) {
-      sink->trace->complete(telemetry::TraceEmitter::kWallPid,
-                            telemetry::TraceEmitter::wall_tid(), "simulate " + cell.label,
-                            cell.wall_t0,
-                            telemetry::TraceEmitter::wall_now_us() - cell.wall_t0);
+      sink->trace->complete(
+          telemetry::TraceEmitter::kWallPid, telemetry::TraceEmitter::wall_tid(),
+          "simulate " + cell.label, cell.wall_t0,
+          cell.wall_us >= 0.0 ? cell.wall_us
+                              : telemetry::TraceEmitter::wall_now_us() - cell.wall_t0);
     }
     tel.end_run(*sink);
   }
@@ -206,11 +211,12 @@ bool fusable(const RunSpec& spec) {
          !spec.config.sampling.enabled && !cpu::replays_trace(spec.workload.benchmarks.front());
 }
 
+cpu::StreamKey stream_of(const RunSpec& spec) {
+  return cpu::stream_key(spec.config, spec.workload.benchmarks, spec.seed);
+}
+
 bool shares_stream(const RunSpec& a, const RunSpec& b) {
-  return a.workload.benchmarks == b.workload.benchmarks && a.seed == b.seed &&
-         a.config.l2.geom.sets() == b.config.l2.geom.sets() &&
-         a.config.l2.geom.line_bytes == b.config.l2.geom.line_bytes &&
-         a.instr_per_core == b.instr_per_core &&
+  return stream_of(a) == stream_of(b) && a.instr_per_core == b.instr_per_core &&
          a.warmup_instr_per_core == b.warmup_instr_per_core;
 }
 
@@ -222,22 +228,42 @@ std::vector<RunOutcome> run_fused(const std::vector<RunSpec>& specs) {
   }
   if (specs.empty()) return {};
   const RunSpec& first = specs.front();
-  const std::unique_ptr<trace::AccessGenerator> stream = cpu::make_core_stream(
-      first.config, first.workload.benchmarks, first.seed, 0);
+  telemetry::TraceEmitter* const trace = telemetry::trace_sink();
+  const double group_t0 = trace != nullptr ? telemetry::TraceEmitter::wall_now_us() : 0.0;
+  const std::unique_ptr<trace::AccessGenerator> stream = cpu::make_core_stream(stream_of(first), 0);
   std::vector<std::unique_ptr<Cell>> cells;
   std::vector<cpu::FusedCell> fused;
   for (const RunSpec& spec : specs) {
     cells.push_back(std::make_unique<Cell>(spec, cpu::CoreStreams::Fed));
     fused.push_back({&cells.back()->system, cells.back()->options, {}, 0.0});
   }
+  const double run_t0 = trace != nullptr ? telemetry::TraceEmitter::wall_now_us() : 0.0;
   cpu::run_fused(fused, *stream);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const std::uint32_t deadline_ms = specs[i].config.resilience.run_deadline_ms;
+    if (deadline_ms != 0 && fused[i].seconds * 1e3 > deadline_ms) {
+      throw resilience::DeadlineExceeded(run_label(specs[i]), deadline_ms);
+    }
+  }
 
+  // Each cell's trace span lasts its own stepping time; laid end to end from
+  // the run's start, the spans stay inside the group's span without overlap.
   std::vector<RunOutcome> outcomes;
+  double span_t0 = run_t0;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     telemetry::profiler().add("run.simulate", fused[i].seconds);
+    cells[i]->wall_t0 = span_t0;
+    cells[i]->wall_us = fused[i].seconds * 1e6;
+    span_t0 += cells[i]->wall_us;
     RunOutcome outcome;
     outcome.raw = std::move(fused[i].result);
     outcomes.push_back(finish_cell(*cells[i], std::move(outcome)));
+  }
+  if (trace != nullptr) {
+    trace->complete(telemetry::TraceEmitter::kWallPid, telemetry::TraceEmitter::wall_tid(),
+                    "fused " + telemetry::sanitize_label(first.workload.name + ".s" +
+                                                         std::to_string(first.seed)),
+                    group_t0, telemetry::TraceEmitter::wall_now_us() - group_t0);
   }
   return outcomes;
 }

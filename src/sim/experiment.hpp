@@ -52,19 +52,25 @@ RunOutcome run_experiment(const RunSpec& spec);
 /// a "trace:" replay. Only such cells fuse (run_fused).
 bool fusable(const RunSpec& spec);
 
-/// True when fusable cells `a` and `b` consume the same references: the
-/// same benchmark, seed, generator context (L2 sets, line size) and
-/// instruction budgets. Their techniques, and the rest of their configs,
-/// may differ.
+/// What `spec`'s cores are generated from (cpu::stream_key).
+cpu::StreamKey stream_of(const RunSpec& spec);
+
+/// True when fusable cells `a` and `b` consume the same references: equal
+/// stream keys and instruction budgets. Their techniques, and the rest of
+/// their configs, may differ.
 bool shares_stream(const RunSpec& a, const RunSpec& b);
 
 /// Runs fusable `specs` that share one stream together: one generator,
 /// and one consumer thread that hands each chunk to every cell's hierarchy
 /// in turn (cpu::run_fused). Each outcome is bit-identical to
 /// run_experiment's for its spec, and each cell keeps its own telemetry
-/// sink, counters and `run.simulate` sample (its own stepping time, not the
-/// group's). Throws std::invalid_argument when the specs may not fuse, and
-/// whatever the run throws, for the whole group.
+/// sink, counters, `run.simulate` sample and wall-clock trace span (its own
+/// stepping time, not the group's; the spans nest in one group span).
+/// Throws std::invalid_argument when the specs may not fuse, and whatever
+/// the run throws, for the whole group. A cell whose own stepping time
+/// passed its [resilience] run_deadline_ms fails the group with
+/// resilience::DeadlineExceeded, after the run and before any outcome is
+/// returned, so a caller's per-cell retry times that cell again.
 std::vector<RunOutcome> run_fused(const std::vector<RunSpec>& specs);
 
 /// run_experiment through the process-wide RunCache (sim/run_cache.hpp):

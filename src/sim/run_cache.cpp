@@ -318,8 +318,8 @@ std::vector<std::shared_ptr<const RunOutcome>> RunCache::get_or_run_group(
     std::vector<RunSpec> group;
     for (const std::size_t i : missing) group.push_back(specs[i]);
     const bool fuse =
-        group.size() > 1 && std::all_of(group.begin(), group.end(), [&](const RunSpec& s) {
-          return fusable(s) && shares_stream(group.front(), s);
+        n > 1 && std::all_of(specs.begin(), specs.end(), [&](const RunSpec& s) {
+          return fusable(s) && shares_stream(specs.front(), s);
         });
     std::vector<RunOutcome> ran;
     if (fuse) {

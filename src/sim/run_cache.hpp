@@ -86,12 +86,13 @@ class RunCache {
   /// get_or_run for each of `specs`, one outcome per spec (get_or_run is the
   /// group of one): each key counts one hit or miss, and hits and keys in
   /// flight elsewhere are shared. The keys that miss are looked for in memo
-  /// files, then computed together: when two or more are left and all are
-  /// fusable and share one stream, as one fused group (sim::run_fused),
-  /// otherwise each alone. Each outcome is stored under its own spec. A
-  /// failure leaves every key this call computed uncached and propagates,
-  /// so callers can fall back to get_or_run per spec, which reproduces each
-  /// cell's own error.
+  /// files, then computed together: when two or more specs were asked for
+  /// and all are fusable and share one stream, as one fused group
+  /// (sim::run_fused, which also enforces each cell's run deadline), even if
+  /// only one of them is left; otherwise each alone. Each outcome is stored
+  /// under its own spec. A failure leaves every key this call computed
+  /// uncached and propagates, so callers can fall back to get_or_run per
+  /// spec, which reproduces each cell's own error.
   std::vector<std::shared_ptr<const RunOutcome>> get_or_run_group(
       const std::vector<RunSpec>& specs);
 

@@ -1,6 +1,8 @@
 #include "sim/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <future>
 #include <latch>
 #include <memory>
@@ -97,14 +99,21 @@ struct CircuitBreaker {
 /// A workload's baseline and technique outcomes computed as one fused group
 /// (RunCache::get_or_run_group, DESIGN.md §7), or empty when its cells
 /// cannot fuse or the group failed: every cell then takes the per-cell path,
-/// which reproduces its own error, retries and breaker count. A [resilience]
-/// run deadline bounds one cell's wall time, which a group's cells do not
-/// have apart, so a sweep with a deadline keeps the per-cell path.
+/// which reproduces its own error, retries and breaker count. The group
+/// enforces each cell's [resilience] run deadline on the cell's own stepping
+/// time (sim::run_fused); its watchdog, armed for the sum of the cells'
+/// budgets, reports a hung group while it hangs, as run_guarded's does a
+/// hung cell.
 std::vector<std::shared_ptr<const RunOutcome>> fused_outcomes(const SweepSpec& spec,
                                                               const trace::Workload& workload) {
   std::vector<RunSpec> specs{sweep_run_spec(spec, workload, Technique::BaselinePeriodicAll)};
-  if (!fusable(specs.front()) || spec.config.resilience.run_deadline_ms != 0) return {};
+  if (!fusable(specs.front())) return {};
   for (const Technique t : spec.techniques) specs.push_back(sweep_run_spec(spec, workload, t));
+  const std::uint64_t budget_ms =
+      std::uint64_t{spec.config.resilience.run_deadline_ms} * specs.size();
+  const resilience::WatchdogGuard guard(
+      "fused:" + workload.name,
+      static_cast<std::uint32_t>(std::min<std::uint64_t>(budget_ms, UINT32_MAX)));
   try {
     return RunCache::instance().get_or_run_group(specs);
   } catch (...) {
@@ -124,6 +133,10 @@ RunSpec sweep_run_spec(const SweepSpec& spec, const trace::Workload& workload,
   rs.instr_per_core = spec.instr_per_core;
   rs.warmup_instr_per_core = spec.warmup_instr_per_core;
   return rs;
+}
+
+bool fuses_workload(std::size_t workloads_left, unsigned threads) {
+  return workloads_left >= threads;
 }
 
 RunError current_exception_to_run_error(const std::string& workload,
@@ -202,14 +215,19 @@ SweepResult run_sweep(const SweepSpec& spec) {
   std::latch done(static_cast<std::ptrdiff_t>(n_workloads * (1 + n_techniques)));
 
   const unsigned resolved = TaskPool::resolve_threads(spec.threads);
-  TaskPool pool(std::min<unsigned>(
-      resolved, static_cast<unsigned>(n_workloads * (1 + n_techniques))));
+  const unsigned threads =
+      std::min<unsigned>(resolved, static_cast<unsigned>(n_workloads * (1 + n_techniques)));
+  TaskPool pool(threads);
 
   CircuitBreaker breaker(spec.config.resilience.max_consecutive_errors);
+  // Baseline tasks started so far. The pool does not start workloads in
+  // submission order (each worker pops its own deque LIFO), so the sweep's
+  // tail is known only when its tasks start.
+  std::atomic<std::size_t> started{0};
 
   for (std::size_t wi = 0; wi < n_workloads; ++wi) {
-    pool.submit([&spec, &result, &states, &pool, &done, &breaker, wi,
-                 n_techniques] {
+    pool.submit([&spec, &result, &states, &pool, &done, &breaker, &started, wi, n_workloads,
+                 n_techniques, threads] {
       const trace::Workload& workload = spec.workloads[wi];
       WorkloadTaskState& state = *states[wi];
 
@@ -231,7 +249,8 @@ SweepResult run_sweep(const SweepSpec& spec) {
       }
       const TaskSpan span("baseline:" + workload.name);
 
-      state.fused = fused_outcomes(spec, workload);
+      const std::size_t left = n_workloads - started.fetch_add(1, std::memory_order_relaxed);
+      if (fuses_workload(left, threads)) state.fused = fused_outcomes(spec, workload);
       std::shared_ptr<const RunOutcome> base;
       try {
         base = !state.fused.empty()

@@ -90,6 +90,16 @@ struct SweepResult {
 /// deterministic in the spec.
 SweepResult run_sweep(const SweepSpec& spec);
 
+/// True when run_sweep, on a pool of `threads`, runs a workload whose
+/// baseline task starts with `workloads_left` workloads (itself included)
+/// not yet started as one fused group. A fused group saves the CPU time of
+/// generating its stream again for every cell, but runs its cells one after
+/// another on one thread. That pays while every thread has a workload of
+/// its own; the last workloads to start, and every workload of a sweep
+/// narrower than the pool, take the per-cell path, which spreads their
+/// technique cells over the pool. A serial sweep fuses every workload.
+bool fuses_workload(std::size_t workloads_left, unsigned threads);
+
 /// The RunSpec a sweep cell evaluates — the single definition shared by the
 /// in-process scheduler and the multi-process service worker, so a cell
 /// computed anywhere is bit-identical to what run_sweep would produce.

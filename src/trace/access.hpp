@@ -23,6 +23,8 @@ struct MemRef {
 struct GeneratorContext {
   std::uint32_t l2_sets = 4096;
   std::uint32_t line_bytes = 64;
+
+  bool operator==(const GeneratorContext&) const = default;
 };
 
 /// Abstract pull-based stream of block numbers (no gaps/stores; those are

@@ -11,12 +11,17 @@
 #include <functional>
 #include <iterator>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <unistd.h>
 #include <vector>
 
+#include "common/json.hpp"
 #include "cpu/system.hpp"
+#include "resilience/watchdog.hpp"
 #include "sim/experiment.hpp"
 #include "sim/run_cache.hpp"
 #include "sim/runner.hpp"
@@ -147,7 +152,7 @@ TEST(Fusion, InlineAndPipelinedStreamsGiveTheSameResults) {
   std::vector<std::uint64_t> digests[2];
   for (const bool pipelined : {false, true}) {
     const RunSpec& first = specs.front();
-    auto stream = cpu::make_core_stream(first.config, first.workload.benchmarks, first.seed, 0);
+    auto stream = cpu::make_core_stream(stream_of(first), 0);
     Group g(specs);
     std::vector<cpu::FusedCell>& cells = g.cells;
     cpu::run_fused(cells, *stream, pipelined);
@@ -176,7 +181,7 @@ TEST(Fusion, ResumableRunFedOneReferenceAtATimeMatchesRun) {
   opt.instr_per_core = spec.instr_per_core;
   opt.warmup_instr_per_core = spec.warmup_instr_per_core;
   EXPECT_THROW(fed.run(opt), std::logic_error);  // only run_fused runs a fed System
-  auto stream = cpu::make_core_stream(spec.config, spec.workload.benchmarks, spec.seed, 0);
+  auto stream = cpu::make_core_stream(stream_of(spec), 0);
   fed.begin(opt);
   EXPECT_THROW(fed.finish(), std::logic_error);
   std::uint64_t used = 0;
@@ -200,7 +205,7 @@ TEST(Fusion, ResumableRunFedOneReferenceAtATimeMatchesRun) {
     SCOPED_TRACE(pipelined);
     {
       Group g(specs);
-      FailAfter late(cpu::make_core_stream(spec.config, spec.workload.benchmarks, spec.seed, 0),
+      FailAfter late(cpu::make_core_stream(stream_of(spec), 0),
                      used);
       cpu::run_fused(g.cells, late, pipelined);
       for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -209,7 +214,7 @@ TEST(Fusion, ResumableRunFedOneReferenceAtATimeMatchesRun) {
       }
     }
     Group g(specs);
-    FailAfter early(cpu::make_core_stream(spec.config, spec.workload.benchmarks, spec.seed, 0),
+    FailAfter early(cpu::make_core_stream(stream_of(spec), 0),
                     used - 1);
     try {
       cpu::run_fused(g.cells, early, pipelined);
@@ -223,7 +228,7 @@ TEST(Fusion, ResumableRunFedOneReferenceAtATimeMatchesRun) {
 TEST(Fusion, CellsThatWouldEndApartThrow) {
   std::vector<RunSpec> specs = group_for("mcf", 1);
   specs.resize(2);
-  auto stream = cpu::make_core_stream(specs[0].config, specs[0].workload.benchmarks, 1, 0);
+  auto stream = cpu::make_core_stream(stream_of(specs[0]), 0);
   for (const std::size_t longer : {0, 1}) {  // either cell may be the one that runs on
     Group g(specs);
     g.cells[longer].options.instr_per_core += 50'000;
@@ -425,6 +430,84 @@ std::vector<std::uint64_t> row_digests(const SweepResult& r) {
   return out;
 }
 
+/// Wall-clock spans ("X" events) of the trace recorded so far, by name.
+std::vector<std::pair<std::string, std::pair<double, double>>> wall_spans() {
+  std::ostringstream os;
+  telemetry::trace_sink()->write_json(os);
+  const std::optional<json::Value> doc = json::parse(os.str());
+  std::vector<std::pair<std::string, std::pair<double, double>>> out;
+  if (!doc) return out;
+  const json::Value* events = doc->find("traceEvents");
+  if (events == nullptr) return out;
+  for (const json::Value& e : events->items) {
+    const json::Value* ph = e.find("ph");
+    if (ph == nullptr || ph->text != "X" || e.find("pid")->text != "2") continue;
+    out.push_back({e.find("name")->text,
+                   {std::stod(e.find("ts")->text), std::stod(e.find("dur")->text)}});
+  }
+  return out;
+}
+
+TEST(Fusion, CellSpansLastTheirOwnTimeInsideTheGroupSpan) {
+  const std::vector<RunSpec> specs{spec_for("mcf", Technique::BaselinePeriodicAll, 6),
+                                   spec_for("mcf", Technique::Esteem, 6),
+                                   spec_for("mcf", Technique::RefrintRPV, 6)};
+  telemetry::TelemetryConfig tcfg;
+  tcfg.trace_path = "unused-trace.json";  // never flushed
+  telemetry::Telemetry& tel = telemetry::Telemetry::instance();
+  tel.configure(tcfg);
+  const double before = telemetry::profiler().seconds("run.simulate");
+  (void)run_fused(specs);
+  const double simulate_us = (telemetry::profiler().seconds("run.simulate") - before) * 1e6;
+  const auto spans = wall_spans();
+  tel.configure({});
+
+  const auto find = [&](const std::string& name) {
+    for (const auto& [n, span] : spans) {
+      if (n == name) return span;
+    }
+    ADD_FAILURE() << "no span " << name;
+    return std::pair<double, double>{0.0, 0.0};
+  };
+  const auto [group_ts, group_dur] = find("fused mcf.s6");
+  double cells_us = 0.0;
+  double end = group_ts;
+  for (const RunSpec& s : specs) {
+    SCOPED_TRACE(run_label(s));
+    const auto [ts, dur] = find("simulate " + run_label(s));
+    EXPECT_GT(dur, 0.0);
+    EXPECT_LE(dur, simulate_us + 1.0);  // at most its own run.simulate sample
+    EXPECT_GE(ts + 0.01, end);          // no overlap with the cell before
+    end = ts + dur;
+    cells_us += dur;
+  }
+  EXPECT_LE(end, group_ts + group_dur + 0.01);  // nested in the group span
+  EXPECT_NEAR(cells_us, simulate_us, 1.0);      // the cells' own time, not the group's
+  EXPECT_LT(cells_us, group_dur);
+}
+
+TEST(Fusion, CellPastItsDeadlineFailsTheGroup) {
+  std::vector<RunSpec> specs{spec_for("gamess", Technique::BaselinePeriodicAll, 3),
+                             spec_for("gamess", Technique::Esteem, 3)};
+  for (RunSpec& s : specs) {
+    s.instr_per_core = 2'000'000;  // well over a millisecond per cell
+    s.config.resilience.run_deadline_ms = 1;
+  }
+  EXPECT_THROW(run_fused(specs), resilience::DeadlineExceeded);
+  RunCache cache;
+  (void)cache.get_or_run(specs[0]);  // a solo run does not enforce the deadline
+  EXPECT_THROW(cache.get_or_run_group(specs), resilience::DeadlineExceeded);
+  EXPECT_EQ(cache.entries(), 1u);  // the one cell left still fused, and failed uncached
+}
+
+TEST(Fusion, SweepFusesWhileEveryThreadHasAWorkload) {
+  EXPECT_TRUE(fuses_workload(1, 1));
+  EXPECT_TRUE(fuses_workload(34, 1));
+  EXPECT_FALSE(fuses_workload(1, 4));  // one workload on four threads
+  EXPECT_TRUE(fuses_workload(4, 4));
+  EXPECT_FALSE(fuses_workload(3, 4));  // the last three spread their cells
+}
+
 TEST(Fusion, SweepRowsAndErrorsMatchThePerCellPath) {
   SweepSpec spec;
   spec.config = tiny();
@@ -432,16 +515,31 @@ TEST(Fusion, SweepRowsAndErrorsMatchThePerCellPath) {
   spec.techniques = {Technique::Esteem, Technique::RefrintRPV};
   spec.instr_per_core = 80'000;
   spec.warmup_instr_per_core = 10'000;
-  for (const unsigned threads : {1u, 3u}) {
-    SCOPED_TRACE(threads);
+  telemetry::TelemetryConfig tcfg;
+  tcfg.trace_path = "unused-trace.json";  // never flushed
+  // Fused groups that completed, each one trace span: a failing group
+  // leaves none.
+  const auto sweep = [&](unsigned threads, std::size_t min_groups, std::size_t max_groups) {
     spec.threads = threads;
-    spec.config.resilience.run_deadline_ms = 0;  // fused groups
     RunCache::instance().clear();
-    const SweepResult fused = run_sweep(spec);
+    telemetry::Telemetry::instance().configure(tcfg);
+    const SweepResult r = run_sweep(spec);
+    std::size_t fused = 0;
+    for (const auto& [name, span] : wall_spans()) fused += name.rfind("fused ", 0) == 0;
+    telemetry::Telemetry::instance().configure({});
+    EXPECT_GE(fused, min_groups) << threads << " threads";
+    EXPECT_LE(fused, max_groups) << threads << " threads";
     EXPECT_EQ(RunCache::instance().stats().hits, 0u);  // one lookup per cell
-    spec.config.resilience.run_deadline_ms = 600'000;  // a deadline keeps the per-cell path
-    RunCache::instance().clear();
-    const SweepResult per_cell = run_sweep(spec);
+    return r;
+  };
+  const SweepResult per_cell = sweep(8, 0, 0);  // a pool wider than the sweep
+  // Serially, gamess and mcf fuse. On two threads the first two workloads
+  // to start fuse, in an order the pool picks: one group if "nope" is among
+  // them, else two.
+  for (const auto& [threads, min_groups, max_groups] :
+       {std::tuple{1u, 2u, 2u}, std::tuple{2u, 1u, 2u}}) {
+    SCOPED_TRACE(threads);
+    const SweepResult fused = sweep(threads, min_groups, max_groups);
     EXPECT_EQ(row_digests(fused), row_digests(per_cell));
     ASSERT_EQ(fused.errors.size(), 1u);
     ASSERT_EQ(per_cell.errors.size(), 1u);
@@ -451,6 +549,26 @@ TEST(Fusion, SweepRowsAndErrorsMatchThePerCellPath) {
     EXPECT_TRUE(fused.rows[0].completed);
     EXPECT_FALSE(fused.rows[1].completed);
     EXPECT_TRUE(fused.rows[2].completed);
+  }
+  RunCache::instance().clear();
+}
+
+TEST(Fusion, FusedSweepKeepsTheRunDeadline) {
+  SweepSpec spec;
+  spec.config = tiny();
+  spec.config.resilience.run_deadline_ms = 1;
+  spec.workloads = {{"gamess", {"gamess"}}};
+  spec.techniques = {Technique::Esteem};
+  spec.instr_per_core = 2'000'000;  // well over a millisecond per cell
+  for (const unsigned threads : {1u, 4u}) {  // fused, then per-cell
+    SCOPED_TRACE(threads);
+    spec.threads = threads;
+    RunCache::instance().clear();
+    const SweepResult r = run_sweep(spec);
+    ASSERT_EQ(r.errors.size(), 1u);
+    EXPECT_EQ(r.errors[0].phase, "deadline");
+    EXPECT_EQ(r.errors[0].technique, "baseline");
+    EXPECT_FALSE(r.rows[0].completed);
   }
   RunCache::instance().clear();
 }
