@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 #include <string>
-#include <system_error>
 
 namespace esteem::cpu {
 
@@ -21,22 +20,23 @@ void Core::feed(std::span<const trace::MemRef> refs) {
   end_ = cur_ + refs.size();
 }
 
-void Core::start_prefetch(const SamplePlan* plan) {
-  if (prefetch_ || !generator_) return;
+void Core::start_stream(const SamplePlan* plan, bool threaded) {
   if (plan != nullptr && instret_ != 0) {
-    throw std::logic_error("Core::start_prefetch: a sampling plan starts at the stream's start");
+    throw std::logic_error("Core::start_stream: a sampling plan starts at the stream's start");
   }
-  try {
-    prefetch_ = std::make_unique<RefPrefetcher>(*generator_, plan);
-  } catch (const std::system_error&) {
-    // No thread to be had (e.g. a process limit): the producer never ran,
-    // so the generator is untouched and the core carries on inline.
+  if (!stream_ && generator_) {
+    stream_ = std::make_unique<RefPrefetcher>(*generator_, plan, threaded);
   }
 }
 
+RefPrefetcher& Core::stream() {
+  if (!generator_) throw std::logic_error("Core: a fed core has no stream of its own");
+  if (!stream_) stream_ = std::make_unique<RefPrefetcher>(*generator_, nullptr, false);
+  return *stream_;
+}
+
 trace::MemRef Core::next_chunk() {
-  if (!prefetch_) throw std::logic_error("Core: a fed core stepped past the references fed to it");
-  const std::span<const trace::MemRef> chunk = prefetch_->next_chunk();
+  const std::span<const trace::MemRef> chunk = stream().next_chunk();
   cur_ = chunk.data();
   end_ = cur_ + chunk.size();
   return *cur_++;
@@ -50,16 +50,11 @@ void Core::advance_clock(instr_t n, double cpi) {
 }
 
 void Core::skip(instr_t n, double cpi) {
-  if (!generator_) {
-    throw std::logic_error("Core::skip: a fed core has no generator to skip");
-  } else if (!prefetch_) {
-    generator_->skip(n);
-  } else if (cur_ != end_) {
+  if (cur_ != end_) {
     throw std::logic_error("Core::skip: " + std::to_string(end_ - cur_) +
-                           " prefetched references precede the skip");
-  } else {
-    prefetch_->take_skip(n);
+                           " references precede the skip");
   }
+  stream().take_skip(n);
   instret_ += n;
   advance_clock(n, cpi);
 }

@@ -47,29 +47,31 @@ class Core {
   /// False only for a fed core that has consumed everything fed to it: the
   /// next step() would throw std::logic_error.
   bool ready() const noexcept { return cur_ != end_ || generator_ != nullptr; }
-  /// References fed (or prefetched) and not yet consumed.
+  /// References fed (or taken from the stream) and not yet consumed.
   std::size_t unconsumed() const noexcept { return static_cast<std::size_t>(end_ - cur_); }
 
-  /// From now on the generator runs on a producer thread ahead of this core
-  /// (RefPrefetcher); the references consumed are exactly the same. With a
-  /// sampled run's `plan`, the producer also makes the plan's analytic skips
-  /// (the core must not have started). The producer is joined when the core
-  /// is destroyed. Idempotent. When the host refuses a thread the core stays
-  /// inline (prefetching() is false); a fed core has no generator to run and
-  /// is left as it is.
-  void start_prefetch(const SamplePlan* plan = nullptr);
-  bool prefetching() const noexcept { return prefetch_ != nullptr; }
+  /// Builds the core's reference stream (RefPrefetcher), generated on a
+  /// producer thread ahead of the core when `threaded`, inline otherwise;
+  /// the references consumed are the same either way. With a sampled run's
+  /// `plan`, the stream also makes the plan's analytic skips (the core must
+  /// not have started). A core that steps or skips without one builds an
+  /// inline stream without a plan. Idempotent; a fed core has no generator
+  /// and is left as it is. The producer is joined when the core is
+  /// destroyed.
+  void start_stream(const SamplePlan* plan, bool threaded);
+  /// True while a producer thread generates this core's stream.
+  bool prefetching() const noexcept { return stream_ && stream_->threaded(); }
 
-  /// Sampling fast-forward: advances the generator past `n` instructions
+  /// Sampling fast-forward: advances the stream past `n` instructions
   /// analytically (no memory accesses reach the hierarchy) and moves the
   /// local clock at `cpi` cycles per instruction — the executor's running
   /// CPI estimate, so interval-based machinery downstream of the clock
   /// (refresh epochs, ESTEEM intervals) stays aligned with real time.
-  /// On a prefetching core the producer already made this skip, where its
-  /// plan said: the core consumes the skip's marker, and throws
-  /// std::logic_error if references remain before it, or the plan makes no
-  /// skip of `n` here (a core prefetching without a plan never skips); a
-  /// refused skip leaves the stream as it was.
+  /// The stream already made this skip, where its plan said: the core
+  /// consumes the skip's marker, and throws std::logic_error if references
+  /// remain before it, or the plan makes no skip of `n` here (a core
+  /// without a plan never skips); a refused skip leaves the stream as it
+  /// was.
   void skip(instr_t n, double cpi);
 
   /// Sampling functional warming: executes the next batch against the
@@ -97,16 +99,19 @@ class Core {
 
   trace::MemRef next_ref() {
     if (cur_ != end_) return *cur_++;
-    return prefetch_ || !generator_ ? next_chunk() : generator_->next();
+    return next_chunk();
   }
-  /// The producer's next chunk; throws std::logic_error on a fed core.
+  /// The stream's next chunk; throws std::logic_error on a fed core.
   trace::MemRef next_chunk();
+  /// The core's stream, built inline without a plan if start_stream did
+  /// not build it; throws std::logic_error on a fed core.
+  RefPrefetcher& stream();
 
   std::uint32_t id_;
   std::unique_ptr<trace::AccessGenerator> generator_;  ///< Null on a fed core.
   /// Declared after generator_ so the producer is joined before the
   /// generator it runs is destroyed.
-  std::unique_ptr<RefPrefetcher> prefetch_;
+  std::unique_ptr<RefPrefetcher> stream_;
   const trace::MemRef* cur_ = nullptr;  ///< Unconsumed part of the held or fed chunk.
   const trace::MemRef* end_ = nullptr;
   block_t block_offset_;

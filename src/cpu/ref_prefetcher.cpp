@@ -2,21 +2,34 @@
 
 #include <stdexcept>
 #include <string>
+#include <system_error>
 
 namespace esteem::cpu {
 
-RefPrefetcher::RefPrefetcher(trace::AccessGenerator& generator, const SamplePlan* plan)
-    : generator_(generator), plan_(plan != nullptr ? std::optional(*plan) : std::nullopt) {
+RefPrefetcher::RefPrefetcher(trace::AccessGenerator& generator, const SamplePlan* plan,
+                             bool threaded)
+    : generator_(generator),
+      plan_(plan != nullptr ? std::optional(*plan) : std::nullopt),
+      slots_(threaded ? kChunks : 1),
+      ring_(std::make_unique_for_overwrite<Chunk[]>(slots_)) {
+  if (!threaded) return;
   if (telemetry::active()) {
     telemetry::CounterRegistry& reg = telemetry::registry();
     chunks_ = reg.counter("trace.prefetch.chunks");
     consumer_waits_ = reg.counter("trace.prefetch.consumer_waits");
     producer_waits_ = reg.counter("trace.prefetch.producer_waits");
   }
-  thread_ = std::thread([this] { produce(); });
+  try {
+    thread_ = std::thread([this] { produce(); });
+  } catch (const std::system_error&) {
+    // No thread to be had (e.g. a process limit): the producer never ran,
+    // so the generator is untouched and the stream is inline, over the
+    // ring it was given.
+  }
 }
 
 RefPrefetcher::~RefPrefetcher() {
+  if (!thread_.joinable()) return;
   stop_.store(true);
   // A producer blocked on a full ring sleeps until released_ changes.
   released_.fetch_add(1);
@@ -35,23 +48,27 @@ void RefPrefetcher::produce() {
       }
     }
     if (stop_.load()) return;
-    Chunk& chunk = ring_[k % kChunks];
-    chunk.count = 0;
-    chunk.skip = 0;
-    try {
-      fill(chunk);
-    } catch (const trace::FillInterrupted& e) {
-      chunk.count += e.done;
-      chunk.error = e.cause;
-    } catch (...) {
-      chunk.error = std::current_exception();
-    }
-    const bool last = chunk.last || chunk.error != nullptr;
-    produced_.store(k + 1, std::memory_order_release);
+    const bool more = make_chunk(k);
     produced_.notify_one();
     chunks_.add();
-    if (last) return;  // the consumer stops (or rethrows) after this chunk
+    if (!more) return;  // the consumer stops (or rethrows) after this chunk
   }
+}
+
+bool RefPrefetcher::make_chunk(std::uint32_t k) {
+  Chunk& chunk = slot(k);
+  chunk.count = 0;
+  chunk.skip = 0;
+  try {
+    fill(chunk);
+  } catch (const trace::FillInterrupted& e) {
+    chunk.count += e.done;
+    chunk.error = e.cause;
+  } catch (...) {
+    chunk.error = std::current_exception();
+  }
+  produced_.store(k + 1, std::memory_order_release);
+  return !chunk.last && chunk.error == nullptr;
 }
 
 void RefPrefetcher::fill(Chunk& chunk) {
@@ -105,19 +122,22 @@ void RefPrefetcher::pass_stop(Chunk& chunk) {
 
 const RefPrefetcher::Chunk& RefPrefetcher::peek() {
   if (taken_ > 0) {
-    const Chunk& held = ring_[(taken_ - 1) % kChunks];
+    const Chunk& held = slot(taken_ - 1);
     if (held.error) std::rethrow_exception(held.error);
     if (held.last) throw std::logic_error("RefPrefetcher: the sampling plan's stream has ended");
   }
   std::uint32_t produced = produced_.load(std::memory_order_acquire);
-  if (produced == taken_) {
+  if (produced == taken_ && !threaded()) {
+    // The held chunk is used up (a consumer peeks only then): its slot is free.
+    make_chunk(taken_);
+  } else if (produced == taken_) {
     consumer_waits_.add();
     do {
       produced_.wait(produced, std::memory_order_acquire);
       produced = produced_.load(std::memory_order_acquire);
     } while (produced == taken_);
   }
-  const Chunk& chunk = ring_[taken_ % kChunks];
+  const Chunk& chunk = slot(taken_);
   if (chunk.count == 0 && chunk.error) std::rethrow_exception(chunk.error);
   return chunk;
 }
@@ -127,7 +147,7 @@ std::span<const trace::MemRef> RefPrefetcher::take() {
     released_.store(taken_, std::memory_order_release);
     released_.notify_one();
   }
-  const Chunk& chunk = ring_[taken_ % kChunks];
+  const Chunk& chunk = slot(taken_);
   ++taken_;
   held_skip_ = chunk.skip;
   return {chunk.refs.data(), chunk.count};

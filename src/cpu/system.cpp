@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
 #include <stdexcept>
-#include <system_error>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -14,6 +12,10 @@
 namespace esteem::cpu {
 
 bool replays_trace(const std::string& benchmark) { return benchmark.rfind("trace:", 0) == 0; }
+
+bool threaded_stream(const std::string& benchmark) {
+  return std::thread::hardware_concurrency() > 1 && !replays_trace(benchmark);
+}
 
 StreamKey stream_key(const SystemConfig& cfg, const std::vector<std::string>& benchmarks,
                      std::uint64_t seed) {
@@ -41,28 +43,24 @@ System::System(const SystemConfig& cfg, Technique technique,
   }
   const StreamKey key = stream_key(cfg, benchmarks, seed);
   cores_.reserve(cfg.ncores);
-  replays_trace_.reserve(cfg.ncores);
   for (std::uint32_t c = 0; c < cfg.ncores; ++c) {
-    replays_trace_.push_back(replays_trace(benchmarks[c]));
     // Disjoint per-core address spaces for multiprogrammed workloads.
     const block_t offset = static_cast<block_t>(c) << 44;
     if (streams == CoreStreams::Fed) {
       cores_.emplace_back(c, offset);
     } else {
+      threaded_.push_back(threaded_stream(benchmarks[c]));
       cores_.emplace_back(c, make_core_stream(key, c), offset);
     }
   }
 }
 
-void System::start_prefetch(const SamplePlan* plan) {
-  if (std::thread::hardware_concurrency() <= 1) return;
-  for (std::size_t c = 0; c < cores_.size(); ++c) {
-    if (!replays_trace_[c]) cores_[c].start_prefetch(plan);
-  }
+void System::start_streams(const SamplePlan* plan) {
+  for (std::size_t c = 0; c < threaded_.size(); ++c) cores_[c].start_stream(plan, threaded_[c]);
 }
 
 RawRunResult System::run(const RunOptions& options) {
-  start_prefetch();
+  start_streams();
   begin(options);
   if (!advance()) throw std::logic_error("System::run: a fed System runs through run_fused");
   return finish();
@@ -86,10 +84,7 @@ void System::begin(const RunOptions& options) {
 
 void System::start_measurement() {
   RunState& r = run_;
-  r.measure_start = cores_[0].cycles();
-  for (std::size_t c = 1; c < cores_.size(); ++c) {
-    r.measure_start = std::min(r.measure_start, cores_[c].cycles());
-  }
+  r.measure_start = wall_clock(cores_);
   mem_.reset_measurement(r.measure_start);
   if (r.options.telemetry != nullptr) {
     // Attached after the measurement reset so interval deltas and trace
@@ -107,18 +102,15 @@ void System::start_measurement() {
   r.result.instr_per_core = r.options.instr_per_core;
   r.result.ipc.assign(cores_.size(), 0.0);
   r.recorded.assign(cores_.size(), false);
-  r.next_interval = r.measure_start + cfg_.esteem.interval_cycles;
+  r.clock.interval = cfg_.esteem.interval_cycles;
+  r.clock.next = r.measure_start + r.clock.interval;
+  r.clock.record_timeline = r.options.record_timeline;
 }
 
 bool System::advance() {
   RunState& r = run_;
   while (r.cold > 0) {
-    std::size_t next = 0;
-    for (std::size_t c = 1; c < cores_.size(); ++c) {
-      if (!r.warm[c] && (r.warm[next] || cores_[c].cycles() < cores_[next].cycles())) {
-        next = c;
-      }
-    }
+    const std::size_t next = earliest_core(cores_, &r.warm);
     Core& core = cores_[next];
     if (!core.ready()) return false;
     core.step(mem_);
@@ -128,13 +120,8 @@ bool System::advance() {
     }
   }
 
-  const cycle_t interval = cfg_.esteem.interval_cycles;
   while (r.unfinished > 0) {
-    // Step the core with the smallest local clock for causal consistency.
-    std::size_t next = 0;
-    for (std::size_t c = 1; c < cores_.size(); ++c) {
-      if (cores_[c].cycles() < cores_[next].cycles()) next = c;
-    }
+    const std::size_t next = earliest_core(cores_);
     Core& core = cores_[next];
     if (!core.ready()) return false;
     core.step(mem_);
@@ -146,21 +133,7 @@ bool System::advance() {
           static_cast<double>(core.cycles() - r.base_cycles[next]);
       --r.unfinished;
     }
-
-    // Wall clock = slowest core's position; interval boundaries fire when
-    // every core has passed them.
-    cycle_t wall = cores_[0].cycles();
-    for (std::size_t c = 1; c < cores_.size(); ++c) {
-      wall = std::min(wall, cores_[c].cycles());
-    }
-    while (wall >= r.next_interval) {
-      mem_.tick_interval(r.next_interval);
-      if (r.options.record_timeline) {
-        r.result.timeline.push_back(IntervalSample{
-            r.next_interval, mem_.active_fraction(), mem_.module_active_ways()});
-      }
-      r.next_interval += interval;
-    }
+    r.clock.pump(mem_, cores_);
   }
   return true;
 }
@@ -176,6 +149,7 @@ RawRunResult System::finish() {
   mem_.finish(wall_end);
 
   RawRunResult result = std::move(r.result);
+  result.timeline = std::move(r.clock.timeline);
   result.wall_cycles = wall_end - r.measure_start;
   result.total_instructions = r.options.instr_per_core * cores_.size();
   result.counters = mem_.energy_counters(wall_end);
@@ -198,32 +172,7 @@ void run_fused(std::span<FusedCell> cells, trace::AccessGenerator& stream, bool 
     cell.system->begin(cell.options);
   }
 
-  // The stream's chunks: from a producer thread, or filled here. Like a
-  // prefetching core, the inline source hands out the references before a
-  // failure, then throws it.
-  std::unique_ptr<RefPrefetcher> producer;
-  if (pipelined) {
-    try {
-      producer = std::make_unique<RefPrefetcher>(stream);
-    } catch (const std::system_error&) {
-      // No thread to be had: generate inline.
-    }
-  }
-  std::vector<trace::MemRef> buffer(producer ? 0 : RefPrefetcher::kChunkRefs);
-  std::exception_ptr failed;
-  const auto next_chunk = [&]() -> std::span<const trace::MemRef> {
-    if (producer) return producer->next_chunk();
-    if (failed) std::rethrow_exception(failed);
-    try {
-      stream.fill(buffer.data(), buffer.size());
-      return buffer;
-    } catch (const trace::FillInterrupted& e) {
-      if (e.done == 0) std::rethrow_exception(e.cause);
-      failed = e.cause;
-      return {buffer.data(), e.done};
-    }
-  };
-
+  RefPrefetcher chunks(stream, nullptr, pipelined);
   using Clock = std::chrono::steady_clock;
   const auto timed = [](FusedCell& cell, const auto& work) {
     const Clock::time_point t0 = Clock::now();
@@ -232,7 +181,7 @@ void run_fused(std::span<FusedCell> cells, trace::AccessGenerator& stream, bool 
     return out;
   };
   for (bool ended = false; !ended;) {
-    const std::span<const trace::MemRef> chunk = next_chunk();
+    const std::span<const trace::MemRef> chunk = chunks.next_chunk();
     std::size_t left = 0;
     for (std::size_t i = 0; i < cells.size(); ++i) {
       Core& core = cells[i].system->cores()[0];

@@ -9,11 +9,12 @@
 // recorded at its own target crossing (§6.4).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/config.hpp"
@@ -47,6 +48,48 @@ struct RawRunResult {
   std::vector<IntervalSample> timeline;
 };
 
+/// The first of `cores` with the smallest clock, passing over those that
+/// `passed` marks (none when it is null; it must leave one): the core that
+/// steps next, so that contention on the shared L2 banks and memory channel
+/// stays causal.
+inline std::size_t earliest_core(const std::vector<Core>& cores,
+                                 const std::vector<bool>* passed = nullptr) {
+  std::size_t next = 0;
+  if (passed != nullptr) {
+    while ((*passed)[next]) ++next;
+  }
+  for (std::size_t c = next + 1; c < cores.size(); ++c) {
+    if ((passed == nullptr || !(*passed)[c]) && cores[c].cycles() < cores[next].cycles()) {
+      next = c;
+    }
+  }
+  return next;
+}
+
+/// The run's wall clock: the slowest core's position.
+inline cycle_t wall_clock(const std::vector<Core>& cores) {
+  return cores[earliest_core(cores)].cycles();
+}
+
+/// The interval clock of a run, exhaustive or sampled: a boundary fires
+/// once the wall clock reaches it, that is once every core has passed it.
+struct IntervalClock {
+  cycle_t next = std::numeric_limits<cycle_t>::max();  ///< Unarmed: never fires.
+  cycle_t interval = 0;
+  bool record_timeline = false;
+  std::vector<IntervalSample> timeline;  ///< One sample per boundary fired, if recorded.
+
+  /// Fires every boundary the wall clock of `cores` has reached.
+  void pump(MemorySystem& mem, const std::vector<Core>& cores) {
+    for (const cycle_t wall = wall_clock(cores); wall >= next; next += interval) {
+      mem.tick_interval(next);
+      if (record_timeline) {
+        timeline.push_back(IntervalSample{next, mem.active_fraction(), mem.module_active_ways()});
+      }
+    }
+  }
+};
+
 struct RunOptions {
   instr_t instr_per_core = 8'000'000;
   /// Instructions each core executes before measurement begins (the paper
@@ -69,6 +112,12 @@ enum class CoreStreams {
 
 /// True for a "trace:<path>" benchmark name: a replay of a trace file.
 bool replays_trace(const std::string& benchmark);
+
+/// Whether the stream of `benchmark` is generated on a producer thread
+/// (RefPrefetcher's `threaded`): on a host with more than one hardware
+/// thread, unless it replays a "trace:" file, whose references are already
+/// in memory and cost less than the handoff (DESIGN.md §7).
+bool threaded_stream(const std::string& benchmark);
 
 /// Everything a run's core streams are built from: runs of equal keys give
 /// every core the same references (run_fused shares them on that ground).
@@ -100,9 +149,9 @@ class System {
          const std::vector<std::string>& benchmarks, std::uint64_t seed,
          CoreStreams streams = CoreStreams::Generated);
 
-  /// Runs every core exhaustively to its target, on producer threads where
-  /// start_prefetch allows: begin(), advance() to the end, finish(). Throws
-  /// std::logic_error on a fed System, which only run_fused can run.
+  /// Runs every core exhaustively to its target: start_streams(), begin(),
+  /// advance() to the end, finish(). Throws std::logic_error on a fed
+  /// System, which only run_fused can run.
   RawRunResult run(const RunOptions& options);
 
   /// run() in resumable form, for fed Systems (run_fused). begin() starts a
@@ -115,12 +164,10 @@ class System {
   bool advance();
   RawRunResult finish();
 
-  /// On a host with more than one hardware thread, starts a producer thread
-  /// on each core that runs a synthetic generator (Core::start_prefetch),
-  /// handing it a sampled run's `plan` (null for an exhaustive run). A
-  /// "trace:" replay stays inline, since its stream is already in memory
-  /// (DESIGN.md §7). Both run() and sampling::run_sampled start here.
-  void start_prefetch(const SamplePlan* plan = nullptr);
+  /// Builds every core's stream (Core::start_stream), threaded where
+  /// threaded_stream says so, handing it a sampled run's `plan` (null for
+  /// an exhaustive run). Both run() and sampling::run_sampled start here.
+  void start_streams(const SamplePlan* plan = nullptr);
 
   MemorySystem& memory() noexcept { return mem_; }
   std::vector<Core>& cores() noexcept { return cores_; }
@@ -139,7 +186,7 @@ class System {
     std::vector<bool> recorded;     ///< Per core: IPC taken.
     std::size_t unfinished = 0;     ///< Cores short of the target.
     cycle_t measure_start = 0;
-    cycle_t next_interval = 0;
+    IntervalClock clock;
     RawRunResult result;
   };
 
@@ -150,7 +197,7 @@ class System {
   SystemConfig cfg_;
   MemorySystem mem_;
   std::vector<Core> cores_;
-  std::vector<bool> replays_trace_;  ///< Per core: a "trace:" file replay.
+  std::vector<bool> threaded_;  ///< Per core: threaded_stream of its benchmark.
   RunState run_;
 };
 
@@ -163,15 +210,14 @@ struct FusedCell {
 };
 
 /// Runs fed single-core Systems on one shared `stream`, chunk by chunk: a
-/// producer thread generates each chunk (`pipelined`, by default wherever
-/// System::start_prefetch would start one; otherwise this thread fills it),
-/// and this thread hands it to every cell's System::advance in turn. Exact,
+/// RefPrefetcher, threaded when `pipelined` (threaded_stream of the
+/// stream's benchmark), makes each chunk, and this thread hands it to every
+/// cell's System::advance in turn. Exact,
 /// as a single-core run's warm-up and measurement stop at instret
 /// thresholds, which depend on the stream alone: each cell consumes the
 /// references its own run() would. Cells of equal budgets end on the same
 /// reference; std::logic_error if they do not. A stream failure fails the
 /// group at the first chunk that needs the missing references.
-void run_fused(std::span<FusedCell> cells, trace::AccessGenerator& stream,
-               bool pipelined = std::thread::hardware_concurrency() > 1);
+void run_fused(std::span<FusedCell> cells, trace::AccessGenerator& stream, bool pipelined);
 
 }  // namespace esteem::cpu

@@ -1,47 +1,11 @@
 #include "sampling/sampled_run.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 namespace esteem::sampling {
 
 namespace {
-
-constexpr cycle_t kNever = std::numeric_limits<cycle_t>::max();
-
-/// Drives the shared interval clock exactly as cpu::System::run does:
-/// boundaries fire once every core has passed them (wall = min core clock).
-/// Armed only for the measured region; `next = kNever` during warm-up.
-struct IntervalClock {
-  cpu::MemorySystem& mem;
-  std::vector<cpu::Core>& cores;
-  cpu::RawRunResult& result;
-  bool record_timeline;
-  cycle_t interval;
-  cycle_t next = kNever;
-
-  cycle_t wall() const {
-    cycle_t w = cores[0].cycles();
-    for (std::size_t c = 1; c < cores.size(); ++c) {
-      w = std::min(w, cores[c].cycles());
-    }
-    return w;
-  }
-
-  void pump() {
-    if (next == kNever) return;
-    const cycle_t w = wall();
-    while (w >= next) {
-      mem.tick_interval(next);
-      if (record_timeline) {
-        result.timeline.push_back(cpu::IntervalSample{
-            next, mem.active_fraction(), mem.module_active_ways()});
-      }
-      next += interval;
-    }
-  }
-};
 
 /// Lockstep-steps cores (smallest local clock first, as in System::run)
 /// until each has retired at least `targets[c]` instructions. Unlike the
@@ -49,8 +13,8 @@ struct IntervalClock {
 /// instruction-space segment schedule stays aligned across cores — the
 /// resulting loss of tail contention inside windows is a documented bias.
 template <typename StepFn>
-void run_segment(std::vector<cpu::Core>& cores,
-                 const std::vector<instr_t>& targets, IntervalClock& clock,
+void run_segment(cpu::MemorySystem& mem, std::vector<cpu::Core>& cores,
+                 const std::vector<instr_t>& targets, cpu::IntervalClock& clock,
                  StepFn&& step) {
   std::vector<bool> done(cores.size());
   std::size_t remaining = 0;
@@ -59,19 +23,13 @@ void run_segment(std::vector<cpu::Core>& cores,
     if (!done[c]) ++remaining;
   }
   while (remaining > 0) {
-    std::size_t next = cores.size();
-    for (std::size_t c = 0; c < cores.size(); ++c) {
-      if (done[c]) continue;
-      if (next == cores.size() || cores[c].cycles() < cores[next].cycles()) {
-        next = c;
-      }
-    }
+    const std::size_t next = cpu::earliest_core(cores, &done);
     step(next);
     if (cores[next].instret() >= targets[next]) {
       done[next] = true;
       --remaining;
     }
-    clock.pump();
+    clock.pump(mem, cores);
   }
 }
 
@@ -103,11 +61,11 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
   const std::size_t ncores = cores.size();
 
   // Every segment boundary below comes from the plan, which the cores'
-  // producer threads follow too: each makes the plan's analytic skips at
-  // exactly the references where this executor calls Core::skip.
+  // streams follow too: each makes the plan's analytic skips at exactly the
+  // references where this executor calls Core::skip.
   const cpu::SamplePlan plan =
       cpu::make_sample_plan(sc, options.instr_per_core, options.warmup_instr_per_core);
-  sys.start_prefetch(&plan);
+  sys.start_streams(&plan);
 
   SampledRunResult out;
   cpu::RawRunResult& result = out.raw;
@@ -115,8 +73,9 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
   result.ipc.assign(ncores, 0.0);
   mem.set_sampled_mode(true);
 
-  IntervalClock clock{mem, cores, result, options.record_timeline,
-                      sys.config().esteem.interval_cycles};
+  cpu::IntervalClock clock;  // armed once the warm-up ends
+  clock.interval = sys.config().esteem.interval_cycles;
+  clock.record_timeline = options.record_timeline;
 
   // --- Warm-up: analytic skip, then a functional-warming tail that rebuilds
   // cache/refresh/profiler state before measurement (the refresh engine
@@ -129,16 +88,13 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
   if (plan.warmup > plan.warm_skip) {
     mem.set_warming(true);
     std::vector<instr_t> warm_target(ncores, plan.warmup);
-    run_segment(cores, warm_target, clock,
+    run_segment(mem, cores, warm_target, clock,
                 [&](std::size_t c) { cores[c].step_warm(mem, cpi[c]); });
     mem.set_warming(false);
   }
   align_clocks(cores);
 
-  cycle_t measure_start = cores[0].cycles();
-  for (std::size_t c = 1; c < ncores; ++c) {
-    measure_start = std::min(measure_start, cores[c].cycles());
-  }
+  const cycle_t measure_start = cpu::wall_clock(cores);
   mem.reset_measurement(measure_start);
   if (options.telemetry != nullptr) {
     mem.set_telemetry(options.telemetry, measure_start);
@@ -167,12 +123,12 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
       }
     }
     align_clocks(cores);
-    clock.pump();
+    clock.pump(mem, cores);
 
     // FF_WARM: functional warming re-establishes microarchitectural state.
     mem.set_warming(true);
     for (std::size_t c = 0; c < ncores; ++c) seg_target[c] += plan.ff_warm;
-    run_segment(cores, seg_target, clock,
+    run_segment(mem, cores, seg_target, clock,
                 [&](std::size_t c) { cores[c].step_warm(mem, cpi[c]); });
     mem.set_warming(false);
     align_clocks(cores);
@@ -181,19 +137,19 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
     // timing transient (cold banks, unloaded memory channel) before the
     // window opens.
     for (std::size_t c = 0; c < ncores; ++c) seg_target[c] += plan.detail_warm;
-    run_segment(cores, seg_target, clock,
+    run_segment(mem, cores, seg_target, clock,
                 [&](std::size_t c) { cores[c].step(mem); });
 
     // WINDOW: detailed and measured.
-    const cpu::FlowSnapshot before = mem.flow_snapshot(clock.wall());
+    const cpu::FlowSnapshot before = mem.flow_snapshot(cpu::wall_clock(cores));
     for (std::size_t c = 0; c < ncores; ++c) {
       w_i0[c] = cores[c].instret();
       w_c0[c] = cores[c].cycles();
       seg_target[c] += plan.window;
     }
-    run_segment(cores, seg_target, clock,
+    run_segment(mem, cores, seg_target, clock,
                 [&](std::size_t c) { cores[c].step(mem); });
-    const cpu::FlowSnapshot after = mem.flow_snapshot(clock.wall());
+    const cpu::FlowSnapshot after = mem.flow_snapshot(cpu::wall_clock(cores));
 
     double w_instr = 0.0;
     for (std::size_t c = 0; c < ncores; ++c) {
@@ -234,13 +190,14 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
       cores[c].skip(final_target - cores[c].instret(), cpi[c]);
     }
   }
-  clock.pump();
+  clock.pump(mem, cores);
 
   cycle_t wall_end = 0;
   for (const cpu::Core& core : cores) {
     wall_end = std::max(wall_end, core.cycles());
   }
   mem.finish(wall_end);
+  result.timeline = std::move(clock.timeline);
 
   // --- Assemble estimates and the exhaustive-shaped point result. ---
   const double total_instr =

@@ -238,7 +238,7 @@ std::vector<RunOutcome> run_fused(const std::vector<RunSpec>& specs) {
     fused.push_back({&cells.back()->system, cells.back()->options, {}, 0.0});
   }
   const double run_t0 = trace != nullptr ? telemetry::TraceEmitter::wall_now_us() : 0.0;
-  cpu::run_fused(fused, *stream);
+  cpu::run_fused(fused, *stream, cpu::threaded_stream(first.workload.benchmarks.front()));
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const std::uint32_t deadline_ms = specs[i].config.resilience.run_deadline_ms;
     if (deadline_ms != 0 && fused[i].seconds * 1e3 > deadline_ms) {

@@ -1,20 +1,23 @@
-// Tests of the core's producer-thread reference pipeline (cpu::RefPrefetcher):
-// a prefetching core consumes exactly the stream an inline core does, also
-// when its producer makes a sampled run's skips (cpu::SamplePlan); a
-// generator failure surfaces at the reference where it happened; a core
-// that leaves its plan is stopped; and the producer is always joined.
+// Tests of the cores' reference streams (cpu::RefPrefetcher), threaded or
+// inline: a core whose stream has a producer thread consumes exactly what a
+// core with an inline stream does, also when the stream makes a sampled
+// run's skips (cpu::SamplePlan); both give every reference and skip that a
+// walk of the plan over the bare generator gives; a generator failure
+// surfaces at the reference where it happened; a core that leaves its plan
+// (or skips without one) is stopped; and the producer is always joined.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <unistd.h>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "cpu/system.hpp"
 #include "sampling/sampled_run.hpp"
 #include "sim/experiment.hpp"
@@ -54,18 +57,19 @@ void expect_same_flow(const FlowSnapshot& a, const FlowSnapshot& b) {
   EXPECT_EQ(a.fa_cycles, b.fa_cycles);
 }
 
-/// Builds two copies of the same system, starts a producer on every core of
-/// one of them, and steps both in lockstep (the core with the lowest clock
-/// next, as System::run schedules): every core's clock must agree after
-/// every step. Both then finish with System::run, which must give the same
-/// result. Whole pipelined runs against the inline model's outputs are
-/// checked by ModelCanary.OutcomeDigestsPinnedPerMemoVersion.
+/// Builds two copies of the same system, gives every core of one of them a
+/// threaded stream (the other's build inline ones), and steps both in
+/// lockstep (the core with the lowest clock next, as System::run
+/// schedules): every core's clock must agree after every step. Both then
+/// finish with System::run, which must give the same result. Whole runs
+/// against the model's pinned outputs are checked by
+/// ModelCanary.OutcomeDigestsPinnedPerMemoVersion.
 void expect_lockstep(const SystemConfig& cfg, Technique tech,
                      const std::vector<std::string>& benchmarks) {
   System piped(cfg, tech, benchmarks, 42);
   System inline_(cfg, tech, benchmarks, 42);
   for (Core& core : piped.cores()) {
-    core.start_prefetch();
+    core.start_stream(nullptr, true);
     ASSERT_TRUE(core.prefetching());
   }
   std::vector<Core>& a = piped.cores();
@@ -190,7 +194,7 @@ TEST(Prefetch, GeneratorFailureSurfacesAtTheSameReference) {
     for (const bool prefetch : {false, true}) {
       MemorySystem mem(tiny(), Technique::BaselinePeriodicAll);
       Core core(0, std::make_unique<FailingGenerator>(ok), 0);
-      if (prefetch) core.start_prefetch();
+      if (prefetch) core.start_stream(nullptr, true);
       std::string what;
       EXPECT_EQ(steps_until_failure(core, mem, what), ok);
       EXPECT_EQ(what, "generator failed at " + std::to_string(ok));
@@ -202,21 +206,26 @@ TEST(Prefetch, GeneratorFailureSurfacesAtTheSameReference) {
 }
 
 TEST(Prefetch, SkipThrowsOncePrefetching) {
-  System piped(tiny(), Technique::Esteem, {"mcf"}, 3);
-  System inline_(tiny(), Technique::Esteem, {"mcf"}, 3);
-  Core& a = piped.cores()[0];
-  Core& b = inline_.cores()[0];
-  a.skip(1000, 1.0);  // fine inline
-  b.skip(1000, 1.0);
-  a.start_prefetch();
-  ASSERT_TRUE(a.prefetching());
-  EXPECT_THROW(a.skip(1000, 1.0), std::logic_error);
-  // The refused skip left the stream as it was.
-  for (std::size_t i = 0; i < 2 * RefPrefetcher::kChunkRefs; ++i) {
-    a.step(piped.memory());
-    b.step(inline_.memory());
-    ASSERT_EQ(a.cycles(), b.cycles()) << "step " << i;
-    ASSERT_EQ(a.instret(), b.instret()) << "step " << i;
+  // Only a sampling plan makes skips: without one a core never skips,
+  // threaded or inline, whether or not it has stepped.
+  for (const bool threaded : {false, true}) {
+    SCOPED_TRACE(threaded);
+    System piped(tiny(), Technique::Esteem, {"mcf"}, 3);
+    System inline_(tiny(), Technique::Esteem, {"mcf"}, 3);
+    Core& a = piped.cores()[0];
+    Core& b = inline_.cores()[0];
+    a.start_stream(nullptr, threaded);
+    ASSERT_EQ(a.prefetching(), threaded);
+    EXPECT_THROW(a.skip(1000, 1.0), std::logic_error);
+    EXPECT_THROW(b.skip(1000, 1.0), std::logic_error);
+    // The refused skips left the streams as they were.
+    for (std::size_t i = 0; i < 2 * RefPrefetcher::kChunkRefs; ++i) {
+      a.step(piped.memory());
+      b.step(inline_.memory());
+      ASSERT_EQ(a.cycles(), b.cycles()) << "step " << i;
+      ASSERT_EQ(a.instret(), b.instret()) << "step " << i;
+    }
+    EXPECT_THROW(a.skip(1000, 1.0), std::logic_error);
   }
 }
 
@@ -225,7 +234,7 @@ TEST(Prefetch, DestroyingASystemMidRunJoinsTheProducers) {
   // (its ring is full and it is blocked): both must join promptly.
   for (const int steps : {0, 10, 20'000}) {
     System system(tiny(2), Technique::Esteem, {"gobmk", "nekbone"}, 5);
-    for (Core& core : system.cores()) core.start_prefetch();
+    for (Core& core : system.cores()) core.start_stream(nullptr, true);
     for (int i = 0; i < steps; ++i) system.cores()[i % 2].step(system.memory());
   }
   // A run that finished leaves its producers blocked on a full ring.
@@ -252,25 +261,6 @@ SamplingConfig small_sampling(bool overshoot) {
   return sc;
 }
 
-/// System(cfg, tech, benchmarks, seed), but every run of it is inline:
-/// System keeps "trace:" replays inline, so it is built over a trace file
-/// and then given the synthetic cores its constructor would have built.
-System inline_system(const SystemConfig& cfg, Technique tech,
-                     const std::vector<std::string>& benchmarks, std::uint64_t seed,
-                     const std::string& trace_path) {
-  System system(cfg, tech, std::vector<std::string>(benchmarks.size(), "trace:" + trace_path),
-                seed);
-  const trace::GeneratorContext ctx{cfg.l2.geom.sets(), cfg.l2.geom.line_bytes};
-  std::uint64_t seed_state = seed;
-  for (std::uint32_t c = 0; c < benchmarks.size(); ++c) {
-    system.cores()[c] =
-        Core(c, trace::make_generator(trace::profile_by_name(benchmarks[c]), ctx,
-                                      splitmix64(seed_state)),
-             static_cast<block_t>(c) << 44);
-  }
-  return system;
-}
-
 std::string temp_trace(const std::string& tag, std::uint64_t refs) {
   const std::string path =
       (std::filesystem::temp_directory_path() /
@@ -286,7 +276,6 @@ std::uint64_t sampled_digest(const sampling::SampledRunResult& r) {
 }
 
 TEST(Prefetch, SampledRunMatchesInline) {
-  const std::string path = temp_trace("sampled", 100);
   for (const bool overshoot : {false, true}) {
     for (const std::uint32_t ncores : {1u, 2u}) {
       const std::vector<std::string> benchmarks =
@@ -302,12 +291,20 @@ TEST(Prefetch, SampledRunMatchesInline) {
         opt.instr_per_core = overshoot ? 60'000 : 250'000;
         opt.warmup_instr_per_core = 30'000;
         opt.record_timeline = true;
+        // run_sampled builds the streams a core does not have yet, with this
+        // same plan.
+        const SamplePlan plan =
+            make_sample_plan(sc, opt.instr_per_core, opt.warmup_instr_per_core);
         System piped(tiny(ncores), tech, benchmarks, 42);
-        System inline_ = inline_system(tiny(ncores), tech, benchmarks, 42, path);
+        System inline_(tiny(ncores), tech, benchmarks, 42);
+        for (std::uint32_t c = 0; c < ncores; ++c) {
+          piped.cores()[c].start_stream(&plan, true);
+          inline_.cores()[c].start_stream(&plan, false);
+        }
         const sampling::SampledRunResult a = sampling::run_sampled(piped, opt, sc);
         const sampling::SampledRunResult b = sampling::run_sampled(inline_, opt, sc);
         for (std::uint32_t c = 0; c < ncores; ++c) {
-          EXPECT_EQ(piped.cores()[c].prefetching(), std::thread::hardware_concurrency() > 1);
+          EXPECT_TRUE(piped.cores()[c].prefetching());
           EXPECT_FALSE(inline_.cores()[c].prefetching());
           EXPECT_EQ(piped.cores()[c].instret(), inline_.cores()[c].instret());
           EXPECT_EQ(piped.cores()[c].cycles(), inline_.cores()[c].cycles());
@@ -320,7 +317,6 @@ TEST(Prefetch, SampledRunMatchesInline) {
       }
     }
   }
-  std::filesystem::remove(path);
 }
 
 TEST(Prefetch, SampledRunKeepsTraceReplaysInline) {
@@ -395,6 +391,137 @@ std::vector<SamplePlan> generator_plans() {
           make_sample_plan(longw, 600'000, 20'000)};
 }
 
+/// A stream as its consumer sees it: the references in order, each skip
+/// with the number of references before it, and the failure that ended it.
+struct StreamLog {
+  std::vector<trace::MemRef> refs;
+  std::vector<std::pair<std::size_t, std::uint64_t>> skips;
+  std::string failure;
+};
+
+bool same_refs(const std::vector<trace::MemRef>& a, const std::vector<trace::MemRef>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const trace::MemRef& x, const trace::MemRef& y) {
+                      return x.block == y.block && x.gap == y.gap && x.is_store == y.is_store;
+                    });
+}
+
+/// The plan walked over a bare generator with next() and skip() alone, by
+/// SamplePlan's rules: a run of references stops at the first one that
+/// reaches its target, and a skip is made only when the stream is short of
+/// its target, by the distance to it.
+StreamLog walk_plan(trace::AccessGenerator& gen, const SamplePlan& plan) {
+  StreamLog log;
+  instr_t instret = 0;
+  const auto skip_to = [&](instr_t target) {
+    if (instret >= target) return;
+    gen.skip(target - instret);
+    log.skips.emplace_back(log.refs.size(), target - instret);
+    instret = target;
+  };
+  const auto run_to = [&](instr_t target) {
+    while (instret < target) {
+      log.refs.push_back(gen.next());
+      instret += std::uint64_t{log.refs.back().gap} + 1;
+    }
+  };
+  try {
+    skip_to(plan.warm_skip);
+    run_to(plan.warmup);
+    const instr_t base = instret;
+    for (std::uint64_t k = 0; k < plan.nwindows; ++k) {
+      skip_to(plan.skip_target(base, k));
+      run_to(plan.skip_target(base, k) + plan.span());
+    }
+    skip_to(plan.end(base));
+  } catch (const std::runtime_error& e) {
+    log.failure = e.what();
+  }
+  return log;
+}
+
+/// Drains `stream` at the skips `expected` makes: its chunks until the next
+/// skip (no chunk may run past one), that skip, and so on, and then its
+/// last references, up to its end or its failure. A skip the stream refuses, or a chunk
+/// past a skip, ends the log with a failure.
+StreamLog drain(RefPrefetcher& stream, const StreamLog& expected) {
+  StreamLog log;
+  try {
+    for (const auto& [at, n] : expected.skips) {
+      while (log.refs.size() < at) {
+        const std::span<const trace::MemRef> chunk = stream.next_chunk();
+        log.refs.insert(log.refs.end(), chunk.begin(), chunk.end());
+        if (log.refs.size() > at) throw std::runtime_error("a chunk ran past a skip");
+      }
+      stream.take_skip(n);
+      log.skips.emplace_back(at, n);
+    }
+    // The references after the last skip, up to the failure if one is due.
+    while (log.refs.size() < expected.refs.size() || !expected.failure.empty()) {
+      const std::span<const trace::MemRef> chunk = stream.next_chunk();
+      log.refs.insert(log.refs.end(), chunk.begin(), chunk.end());
+    }
+    // The plan's end: nothing follows.
+    EXPECT_THROW(stream.next_chunk(), std::logic_error);
+  } catch (const std::runtime_error& e) {
+    log.failure = e.what();
+  } catch (const std::logic_error& e) {
+    log.failure = std::string("refused: ") + e.what();
+  }
+  return log;
+}
+
+TEST(Prefetch, PlannedStreamMatchesAWalkOfTheTwinGenerator) {
+  using Make = std::function<std::unique_ptr<trace::AccessGenerator>()>;
+  struct Case {
+    std::string name;
+    SamplePlan plan;
+    Make make;
+  };
+  std::vector<Case> cases;
+  for (const SamplePlan& plan : generator_plans()) {
+    const std::string period = "period " + std::to_string(plan.period);
+    cases.push_back({period, plan, [] { return std::make_unique<FailingGenerator>(~0ULL, 331); }});
+    // Failing in the warm-up skip, the warm tail, around chunk boundaries,
+    // in a window and in a period's skip.
+    for (const std::uint64_t ok : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2'000},
+                                   std::uint64_t{RefPrefetcher::kChunkRefs},
+                                   std::uint64_t{RefPrefetcher::kChunkRefs + 1},
+                                   std::uint64_t{9'000}, std::uint64_t{40'000}}) {
+      cases.push_back({period + ", failing at " + std::to_string(ok), plan,
+                       [ok] { return std::make_unique<FailingGenerator>(ok, 331); }});
+    }
+  }
+  for (const bool overshoot : {false, true}) {
+    // A synthetic profile's analytic skip (InstructionMixer::skip).
+    const SamplePlan plan =
+        make_sample_plan(small_sampling(overshoot), overshoot ? 60'000 : 250'000, 30'000);
+    cases.push_back({std::string("h264ref") + (overshoot ? ", overshooting" : ""), plan, [] {
+                       return trace::make_generator(trace::profile_by_name("h264ref"),
+                                                    {1024, 64}, 17);
+                     }});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::unique_ptr<trace::AccessGenerator> twin = c.make();
+    const StreamLog want = walk_plan(*twin, c.plan);
+    if (want.failure.empty()) {
+      ASSERT_GT(want.skips.size(), 2u);
+    }
+    for (const bool threaded : {false, true}) {
+      SCOPED_TRACE(threaded ? "threaded" : "inline");
+      const std::unique_ptr<trace::AccessGenerator> gen = c.make();
+      RefPrefetcher stream(*gen, &c.plan, threaded);
+      ASSERT_EQ(stream.threaded(), threaded);
+      const StreamLog got = drain(stream, want);
+      EXPECT_EQ(got.failure, want.failure);
+      EXPECT_EQ(got.refs.size(), want.refs.size());
+      EXPECT_TRUE(same_refs(got.refs, want.refs));
+      EXPECT_TRUE(got.skips == want.skips);
+    }
+  }
+}
+
 TEST(Prefetch, PlannedSkipsMatchInlineWhereSegmentsOvershoot) {
   for (const SamplePlan& plan : generator_plans()) {
     SCOPED_TRACE(plan.period);
@@ -402,7 +529,8 @@ TEST(Prefetch, PlannedSkipsMatchInlineWhereSegmentsOvershoot) {
     MemorySystem mem_b(tiny(), Technique::BaselinePeriodicAll);
     Core piped(0, std::make_unique<FailingGenerator>(~0ULL, 331), 0);
     Core inline_(0, std::make_unique<FailingGenerator>(~0ULL, 331), 0);
-    piped.start_prefetch(&plan);
+    piped.start_stream(&plan, true);
+    inline_.start_stream(&plan, false);
     ASSERT_TRUE(piped.prefetching());
     const PlanRun a = follow_plan(piped, mem_a, plan);
     const PlanRun b = follow_plan(inline_, mem_b, plan);
@@ -434,7 +562,8 @@ TEST(Prefetch, GeneratorFailureMidPlanSurfacesAtTheSameReference) {
     MemorySystem mem_b(tiny(), Technique::BaselinePeriodicAll);
     Core piped(0, std::make_unique<FailingGenerator>(ok, 331), 0);
     Core inline_(0, std::make_unique<FailingGenerator>(ok, 331), 0);
-    piped.start_prefetch(&plan);
+    piped.start_stream(&plan, true);
+    inline_.start_stream(&plan, false);
     const PlanRun a = follow_plan(piped, mem_a, plan);
     const PlanRun b = follow_plan(inline_, mem_b, plan);
     EXPECT_EQ(a.failure, "generator failed at " + std::to_string(ok));
@@ -442,8 +571,10 @@ TEST(Prefetch, GeneratorFailureMidPlanSurfacesAtTheSameReference) {
     EXPECT_EQ(a.skips, b.skips);
     EXPECT_TRUE(a.points == b.points);
     // The failure sticks, whether the core steps or skips next.
-    EXPECT_THROW(piped.step(mem_a), std::runtime_error);
-    EXPECT_THROW(piped.skip(10, 1.0), std::runtime_error);
+    for (Core* core : {&piped, &inline_}) {
+      EXPECT_THROW(core->step(mem_a), std::runtime_error);
+      EXPECT_THROW(core->skip(10, 1.0), std::runtime_error);
+    }
   }
 }
 
@@ -451,22 +582,25 @@ TEST(Prefetch, LeavingThePlanThrows) {
   const SamplePlan plan = generator_plans()[0];
   ASSERT_GT(plan.warm_skip, 0u);
   using Action = std::function<void(Core&, MemorySystem&)>;
-  // Each refused call leaves the stream as it was: the core then follows the
-  // plan exactly as an inline core that made the same calls but that one.
+  // Each refused call leaves the stream as it was: a threaded and an inline
+  // core then follow the plan exactly as an inline core that made the same
+  // calls but that one.
   const auto expect_refused = [&plan](const Action& before, const Action& refused) {
-    MemorySystem mem_a(tiny(), Technique::BaselinePeriodicAll);
-    MemorySystem mem_b(tiny(), Technique::BaselinePeriodicAll);
-    Core piped(0, std::make_unique<FailingGenerator>(~0ULL), 0);
-    Core inline_(0, std::make_unique<FailingGenerator>(~0ULL), 0);
-    piped.start_prefetch(&plan);
-    ASSERT_TRUE(piped.prefetching());
-    before(piped, mem_a);
-    before(inline_, mem_b);
-    EXPECT_THROW(refused(piped, mem_a), std::logic_error);
-    const PlanRun a = follow_plan(piped, mem_a, plan);
-    const PlanRun b = follow_plan(inline_, mem_b, plan);
-    EXPECT_EQ(a.failure, "");
-    EXPECT_TRUE(a.points == b.points);
+    PlanRun runs[3];
+    for (int mode = 0; mode < 3; ++mode) {  // threaded, inline, inline and not refused
+      MemorySystem mem(tiny(), Technique::BaselinePeriodicAll);
+      Core core(0, std::make_unique<FailingGenerator>(~0ULL), 0);
+      core.start_stream(&plan, mode == 0);
+      ASSERT_EQ(core.prefetching(), mode == 0);
+      before(core, mem);
+      if (mode < 2) {
+        EXPECT_THROW(refused(core, mem), std::logic_error);
+      }
+      runs[mode] = follow_plan(core, mem, plan);
+      EXPECT_EQ(runs[mode].failure, "");
+    }
+    EXPECT_TRUE(runs[0].points == runs[2].points);
+    EXPECT_TRUE(runs[1].points == runs[2].points);
   };
   const Action start = [](Core&, MemorySystem&) {};
   const Action warm_skip = [&plan](Core& core, MemorySystem&) { core.skip(plan.warm_skip, 1.0); };
@@ -510,7 +644,7 @@ TEST(Prefetch, LeavingThePlanThrows) {
     MemorySystem mem(tiny(), Technique::BaselinePeriodicAll);
     Core core(0, std::make_unique<FailingGenerator>(~0ULL), 0);
     core.step(mem);
-    EXPECT_THROW(core.start_prefetch(&plan), std::logic_error);
+    EXPECT_THROW(core.start_stream(&plan, false), std::logic_error);
   }
 }
 

@@ -233,7 +233,7 @@ TEST(Fusion, CellsThatWouldEndApartThrow) {
     Group g(specs);
     g.cells[longer].options.instr_per_core += 50'000;
     try {
-      cpu::run_fused(g.cells, *stream);
+      cpu::run_fused(g.cells, *stream, true);
       ADD_FAILURE() << "cells of different budgets fused";
     } catch (const std::logic_error& e) {
       EXPECT_EQ(std::string(e.what()), "run_fused: the cells ended on different references");
@@ -243,7 +243,7 @@ TEST(Fusion, CellsThatWouldEndApartThrow) {
   // Generated (not fed) or multi-core Systems are not cells.
   cpu::System generated(specs[0].config, specs[0].technique, specs[0].workload.benchmarks, 1);
   std::vector<cpu::FusedCell> bad{{&generated, {}, {}, 0.0}};
-  EXPECT_THROW(cpu::run_fused(bad, *stream), std::invalid_argument);
+  EXPECT_THROW(cpu::run_fused(bad, *stream, true), std::invalid_argument);
 }
 
 TEST(Fusion, EachCellRecordsItsOwnSimulatePhase) {
